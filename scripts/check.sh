@@ -127,8 +127,10 @@ EOF
 echo "== [8/16] hierarchy + tuner gauntlet (docs/COLLECTIVES.md) =="
 # The engine/tuner test wall: k-nomial schedules, the depth x radix x PE
 # conformance axis (each case under XbrSan full internally), the tuner
-# round-trip, and the three regression suites from this PR's bugfixes.
-ctest --test-dir "$BUILD" -R '(Hierarch|Knomial|Tuner)' \
+# round-trip, the golden modeled cost of every family through the one
+# dispatcher, the team-registry churn regression, and the three regression
+# suites from the hierarchy engine's bugfixes.
+ctest --test-dir "$BUILD" -R '(Hierarch|Knomial|Tuner|DispatchGolden|TeamRegistry)' \
     --output-on-failure -j "$(nproc)"
 # Fresh small sweep: build a tune table, gate the measurements, and verify
 # the persisted table round-trips through --coll-tune-table.
@@ -309,7 +311,7 @@ cmake -B "$BUILD-tsan" -S . -DXBGAS_SANITIZE=thread -DXBGAS_WERROR=ON \
     -DXBGAS_BUILD_BENCH=OFF -DXBGAS_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD-tsan" -j
 ctest --test-dir "$BUILD-tsan" \
-    -R '(machine|Machine|Barrier|Sched|trace|fault|San|Nonblocking|Nbi|WriteCombiner|Conformance|Hierarch|Knomial|Tuner|Agree|Shrink|Checkpoint|Recovery|recovery|Serving|serving|Zipf|Scaling|Partition|Unreachable|LinkFaults)' \
+    -R '(machine|Machine|Barrier|Sched|trace|fault|San|Nonblocking|Nbi|WriteCombiner|Conformance|Hierarch|Knomial|Tuner|DispatchGolden|TeamRegistry|Agree|Shrink|Checkpoint|Recovery|recovery|Serving|serving|Zipf|Scaling|Partition|Unreachable|LinkFaults)' \
     --output-on-failure -j "$(nproc)"
 
 echo "== all checks passed =="

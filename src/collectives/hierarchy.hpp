@@ -27,17 +27,17 @@
 // (the put is ordered by the pair's barrier, and the root never writes its
 // own dest — that write belongs to its innermost-level sender).
 //
-// Every entry point has a `pipelined` form (internal hops issued as chunked
-// nonblocking transfers, chunk size tunable) and a `defer_tail` form (the
-// innermost level's final stage skips its barrier so the caller — the nbi
-// dispatch layer — can return a live CollReq whose wait() is the fence).
+// Every entry point takes the SchedMode its caller picked (collectives.hpp).
+// kPipelined issues internal hops as chunked nonblocking transfers (chunk
+// size tunable); kDeferred also leaves the innermost level's final stage
+// unfenced, so the nbi entry points return a live CollReq whose wait() is
+// the fence. The outer levels of a deferred call run kPipelined.
 
 #include <algorithm>
 #include <cstddef>
 #include <vector>
 
 #include "collectives/collectives.hpp"
-#include "collectives/schedule.hpp"
 #include "collectives/team.hpp"
 
 namespace xbgas {
@@ -72,210 +72,6 @@ struct HierLevel {
 std::vector<HierLevel> hier_levels(const std::vector<int>& groups, int n_pes,
                                    int me);
 
-// Defined in nbi.cpp (observability: coll.pipeline.chunks).
-void note_pipeline_chunks(std::size_t n);
-
-/// Chunk count for pipelined internal hops. With no explicit chunk size the
-/// heuristic is one chunk per 512 elements capped at 8 (small messages stay
-/// one transfer, huge ones don't drown in injection costs); an explicit
-/// `chunk_elems` — the tuner's knob — is honored up to 64 chunks.
-constexpr std::size_t pipeline_chunks(std::size_t nelems,
-                                      std::size_t chunk_elems = 0) {
-  return chunk_elems == 0
-             ? std::clamp<std::size_t>(nelems / 512, 1, 8)
-             : std::clamp<std::size_t>((nelems + chunk_elems - 1) /
-                                           chunk_elems,
-                                       1, 64);
-}
-
-/// One internal pipelined hop: the (nelems, stride) transfer split into
-/// pipeline_chunks() nonblocking pieces (NbTrack::kInternal — timing only,
-/// the enclosing collective owns the hazard contract).
-template <class T>
-void nbi_put_chunks(T* dest, const T* src, std::size_t nelems, int stride,
-                    int world_pe, std::size_t chunk_elems = 0) {
-  const std::size_t nc = pipeline_chunks(nelems, chunk_elems);
-  for (std::size_t c = 0; c < nc; ++c) {
-    const std::size_t lo = nelems * c / nc;
-    const std::size_t hi = nelems * (c + 1) / nc;
-    if (hi > lo) {
-      const std::size_t at = lo * static_cast<std::size_t>(stride);
-      rma_transfer(dest + at, src + at, sizeof(T), hi - lo, stride, world_pe,
-                   /*remote_is_dest=*/true, /*nonblocking=*/true,
-                   /*atomic_elems=*/false, NbTrack::kInternal);
-    }
-  }
-  note_pipeline_chunks(nc);
-}
-
-template <class T>
-void nbi_get_chunks(T* dest, const T* src, std::size_t nelems, int stride,
-                    int world_pe, std::size_t chunk_elems = 0) {
-  const std::size_t nc = pipeline_chunks(nelems, chunk_elems);
-  for (std::size_t c = 0; c < nc; ++c) {
-    const std::size_t lo = nelems * c / nc;
-    const std::size_t hi = nelems * (c + 1) / nc;
-    if (hi > lo) {
-      const std::size_t at = lo * static_cast<std::size_t>(stride);
-      rma_transfer(dest + at, src + at, sizeof(T), hi - lo, stride, world_pe,
-                   /*remote_is_dest=*/false, /*nonblocking=*/true,
-                   /*atomic_elems=*/false, NbTrack::kInternal);
-    }
-  }
-  note_pipeline_chunks(nc);
-}
-
-// -- Single-level k-nomial primitives (any Communicator) --------------------
-
-/// Top-down k-nomial broadcast over `comm` with the xbgas::broadcast
-/// contract. With `defer_last` the FINAL stage's puts are left unfenced for
-/// the caller (nbi tail); every earlier stage barriers as usual.
-template <class T>
-void knomial_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
-                       int root, int radix, Communicator& comm,
-                       bool pipelined = false, bool defer_last = false,
-                       std::size_t chunk = 0) {
-  const int vr = collective_prologue(comm, root, stride);
-  const int n = comm.n_pes();
-  if (vr == 0 && nelems > 0 && dest != src) {
-    xbr_put(dest, src, nelems, stride, comm.world_rank(comm.rank()));
-  }
-  if (n == 1) return;
-
-  PeContext& ctx = xbrtime_ctx();
-  const auto edges = knomial_broadcast_schedule(n, radix);
-  const int stages = knomial_stages(n, radix);
-  std::size_t e = 0;
-  for (int s = 0; s < stages; ++s) {
-    ctx.trace().record(EventKind::kStageBegin, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-    for (; e < edges.size() && edges[e].stage == s; ++e) {
-      if (edges[e].from_vrank != vr || nelems == 0) continue;
-      const int lpart = logical_rank(edges[e].to_vrank, root, n);
-      const T* from = (vr == 0) ? src : dest;
-      if (pipelined) {
-        nbi_put_chunks(dest, from, nelems, stride, comm.world_rank(lpart),
-                       chunk);
-      } else {
-        xbr_put(dest, from, nelems, stride, comm.world_rank(lpart));
-      }
-    }
-    if (!(defer_last && s == stages - 1)) comm.barrier();
-    ctx.trace().record(EventKind::kStageEnd, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-  }
-}
-
-/// Bottom-up k-nomial reduction over a symmetric CONTIGUOUS partial buffer
-/// (each PE's `part` holds its packed contribution on entry; the team's
-/// vrank-0 PE holds the combined result on return). Pipelined gets land
-/// host-side at issue, so the combine overlaps the modeled flight and each
-/// stage settles to max(transfer, combine) at its barrier.
-template <class Op, class T>
-void knomial_reduce_part(T* part, std::size_t nelems, int root, int radix,
-                         Communicator& comm, bool pipelined = false,
-                         std::size_t chunk = 0) {
-  const int vr = collective_prologue(comm, root, /*stride=*/1);
-  const int n = comm.n_pes();
-  comm.barrier();  // all parts settled before any parent pulls
-  if (n == 1) return;
-
-  PeContext& ctx = xbrtime_ctx();
-  std::vector<T> land(nelems);
-  const auto edges = knomial_reduce_schedule(n, radix);
-  const int stages = knomial_stages(n, radix);
-  std::size_t e = 0;
-  for (int s = 0; s < stages; ++s) {
-    ctx.trace().record(EventKind::kStageBegin, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-    for (; e < edges.size() && edges[e].stage == s; ++e) {
-      if (edges[e].to_vrank != vr || nelems == 0) continue;
-      const int lpart = logical_rank(edges[e].from_vrank, root, n);
-      if (pipelined) {
-        nbi_get_chunks(land.data(), part, nelems, 1, comm.world_rank(lpart),
-                       chunk);
-      } else {
-        xbr_get(land.data(), part, nelems, 1, comm.world_rank(lpart));
-      }
-      for (std::size_t j = 0; j < nelems; ++j) {
-        part[j] = Op::apply(part[j], land[j]);
-      }
-      ctx.clock().advance(kReduceOpCycles * nelems);
-    }
-    comm.barrier();  // parent's combined part visible to the next stage
-    ctx.trace().record(EventKind::kStageEnd, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-  }
-}
-
-/// k-nomial reduction with the xbgas::reduce contract (dest meaningful on
-/// the comm-rank `root` only, src untouched): pack into a symmetric
-/// contiguous partial, climb the tree, unpack at the root.
-template <class Op, class T>
-void knomial_reduce(T* dest, const T* src, std::size_t nelems, int stride,
-                    int root, int radix, Communicator& comm,
-                    bool pipelined = false, std::size_t chunk = 0) {
-  T* part = static_cast<T*>(
-      collective_staging_alloc(sizeof(T), std::max<std::size_t>(nelems, 1)));
-  for (std::size_t j = 0; j < nelems; ++j) {
-    part[j] = src[j * static_cast<std::size_t>(stride)];
-  }
-  knomial_reduce_part<Op>(part, nelems, root, radix, comm, pipelined, chunk);
-  if (comm.rank() == root) {
-    for (std::size_t j = 0; j < nelems; ++j) {
-      dest[j * static_cast<std::size_t>(stride)] = part[j];
-    }
-  }
-  collective_staging_free(part);
-}
-
-/// Bottom-up k-nomial block gather for fcollect. Team rank r is world PE
-/// `start + r*sub` and enters holding the `sub` world-rank blocks
-/// [start + r*sub, start + (r+1)*sub) contiguously in its own dest; team
-/// rank 0 exits holding all `size*sub` blocks. Gets are self-symmetric
-/// (dest offset == src offset), mirroring gather (Algorithm 4).
-template <class T>
-void knomial_gather_blocks(T* dest, std::size_t per, int start, int sub,
-                           int radix, Communicator& comm) {
-  const int m = comm.n_pes();
-  const int vr = comm.rank();  // rooted at team rank 0: no vrank remap
-  comm.barrier();  // lower-level accumulations settled before pulls
-  if (m == 1) return;
-
-  PeContext& ctx = xbrtime_ctx();
-  const auto edges = knomial_reduce_schedule(m, radix);
-  const int stages = knomial_stages(m, radix);
-  std::size_t e = 0;
-  long long width = 1;  // accumulated subtree width (team ranks) at stage s
-  for (int s = 0; s < stages; ++s) {
-    ctx.trace().record(EventKind::kStageBegin, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-    for (; e < edges.size() && edges[e].stage == s; ++e) {
-      if (edges[e].to_vrank != vr || per == 0) continue;
-      const int child = edges[e].from_vrank;
-      const long long got = std::min<long long>(width, m - child);
-      const std::size_t off =
-          (static_cast<std::size_t>(start) +
-           static_cast<std::size_t>(child) * static_cast<std::size_t>(sub)) *
-          per;
-      xbr_get(dest + off, dest + off,
-              static_cast<std::size_t>(got) * static_cast<std::size_t>(sub) *
-                  per,
-              1, comm.world_rank(child));
-    }
-    comm.barrier();
-    width *= radix;
-    ctx.trace().record(EventKind::kStageEnd, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-  }
-}
-
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -283,20 +79,22 @@ void knomial_gather_blocks(T* dest, std::size_t per, int start, int sub,
 // collectives over the whole world)
 // ---------------------------------------------------------------------------
 
-/// Hierarchical broadcast. With `defer_tail` the innermost level's final
-/// stage is left unfenced — the caller owns the fence (CollReq::wait).
+/// Hierarchical broadcast. In kDeferred mode the innermost level's final
+/// stage is left unfenced and the returned request (on the world
+/// communicator) is live; otherwise it is complete.
 template <class T>
-void hier_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
-                    int root, const HierShape& shape, bool pipelined = false,
-                    bool defer_tail = false) {
+CollReq hier_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
+                       int root, const HierShape& shape,
+                       SchedMode mode = SchedMode::kBlocking) {
   PeContext& ctx = xbrtime_ctx();
   const int n = ctx.n_pes();
   validate_hier_shape(shape, n);
+  const CollReq req =
+      mode == SchedMode::kDeferred ? CollReq{&world_comm()} : CollReq{};
   if (shape.groups.empty()) {
     detail::knomial_broadcast(dest, src, nelems, stride, root, shape.radix,
-                              world_comm(), pipelined, defer_tail,
-                              shape.chunk);
-    return;
+                              world_comm(), mode, shape.chunk);
+    return req;
   }
 
   const int me = ctx.rank();
@@ -329,16 +127,20 @@ void hier_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
     Team team(lv.start, lv.stride, lv.size);
     const int team_root = l == 0 ? top_leader / g_top : 0;
     detail::knomial_broadcast(dest, dest, nelems, stride, team_root,
-                              shape.radix, team, pipelined,
-                              defer_tail && innermost, shape.chunk);
+                              shape.radix, team,
+                              innermost ? mode : detail::fenced(mode),
+                              shape.chunk);
   }
+  return req;
 }
 
 /// Hierarchical reduction: packed partials climb the level stack bottom-up;
-/// `dest` is meaningful only on `root` (and may be private).
+/// `dest` is meaningful only on `root` (and may be private). Any mode other
+/// than kBlocking pipelines the hops; the reduce completes at return.
 template <class Op, class T>
 void hier_reduce(T* dest, const T* src, std::size_t nelems, int stride,
-                 int root, const HierShape& shape, bool pipelined = false) {
+                 int root, const HierShape& shape,
+                 SchedMode mode = SchedMode::kBlocking) {
   PeContext& ctx = xbrtime_ctx();
   const int n = ctx.n_pes();
   validate_hier_shape(shape, n);
@@ -346,7 +148,7 @@ void hier_reduce(T* dest, const T* src, std::size_t nelems, int stride,
 
   if (shape.groups.empty()) {
     detail::knomial_reduce<Op>(dest, src, nelems, stride, root, shape.radix,
-                               world_comm(), pipelined, shape.chunk);
+                               world_comm(), mode, shape.chunk);
     return;
   }
 
@@ -365,7 +167,7 @@ void hier_reduce(T* dest, const T* src, std::size_t nelems, int stride,
     Team team(lv.start, lv.stride, lv.size);
     const int team_root = l == 0 ? top_leader / g_top : 0;
     detail::knomial_reduce_part<Op>(part, nelems, team_root, shape.radix,
-                                    team, pipelined, shape.chunk);
+                                    team, mode, shape.chunk);
   }
 
   // Handoff: combined result moves from the top-level leader to the root's
@@ -388,20 +190,20 @@ void hier_reduce(T* dest, const T* src, std::size_t nelems, int stride,
 
 /// Hierarchical allreduce: reduce to world rank 0 then broadcast back down.
 template <class Op, class T>
-void hier_reduce_all(T* dest, const T* src, std::size_t nelems, int stride,
-                     const HierShape& shape, bool pipelined = false,
-                     bool defer_tail = false) {
-  hier_reduce<Op>(dest, src, nelems, stride, /*root=*/0, shape, pipelined);
-  hier_broadcast(dest, dest, nelems, stride, /*root=*/0, shape, pipelined,
-                 defer_tail);
+CollReq hier_reduce_all(T* dest, const T* src, std::size_t nelems, int stride,
+                        const HierShape& shape,
+                        SchedMode mode = SchedMode::kBlocking) {
+  hier_reduce<Op>(dest, src, nelems, stride, /*root=*/0, shape,
+                  detail::fenced(mode));
+  return hier_broadcast(dest, dest, nelems, stride, /*root=*/0, shape, mode);
 }
 
 /// Hierarchical fcollect: per-PE blocks climb the level stack (block gather
 /// to world rank 0), then the concatenation broadcasts back down.
 template <class T>
-void hier_fcollect(T* dest, const T* src, std::size_t nelems_per_pe,
-                   const HierShape& shape, bool pipelined = false,
-                   bool defer_tail = false) {
+CollReq hier_fcollect(T* dest, const T* src, std::size_t nelems_per_pe,
+                      const HierShape& shape,
+                      SchedMode mode = SchedMode::kBlocking) {
   PeContext& ctx = xbrtime_ctx();
   const int n = ctx.n_pes();
   validate_hier_shape(shape, n);
@@ -414,25 +216,20 @@ void hier_fcollect(T* dest, const T* src, std::size_t nelems_per_pe,
   }
 
   if (shape.groups.empty()) {
-    Communicator& world = world_comm();
     detail::knomial_gather_blocks(dest, per, /*start=*/0, /*sub=*/1,
-                                  shape.radix, world);
-    detail::knomial_broadcast(dest, dest, total, /*stride=*/1, /*root=*/0,
-                              shape.radix, world, pipelined, defer_tail,
-                              shape.chunk);
-    return;
+                                  shape.radix, world_comm());
+  } else {
+    const auto levels = detail::hier_levels(shape.groups, n, me);
+    for (std::size_t l = levels.size(); l-- > 0;) {
+      const auto& lv = levels[l];
+      if (!lv.member) continue;
+      Team team(lv.start, lv.stride, lv.size);
+      detail::knomial_gather_blocks(dest, per, lv.start, lv.stride,
+                                    shape.radix, team);
+    }
   }
-
-  const auto levels = detail::hier_levels(shape.groups, n, me);
-  for (std::size_t l = levels.size(); l-- > 0;) {
-    const auto& lv = levels[l];
-    if (!lv.member) continue;
-    Team team(lv.start, lv.stride, lv.size);
-    detail::knomial_gather_blocks(dest, per, lv.start, lv.stride, shape.radix,
-                                  team);
-  }
-  hier_broadcast(dest, dest, total, /*stride=*/1, /*root=*/0, shape,
-                 pipelined, defer_tail);
+  return hier_broadcast(dest, dest, total, /*stride=*/1, /*root=*/0, shape,
+                        mode);
 }
 
 // ---------------------------------------------------------------------------

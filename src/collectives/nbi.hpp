@@ -18,16 +18,20 @@
 // the chunks overlap (the completion horizon is a max, not a sum) and the
 // per-step cost of the ring allreduce becomes max(transfer, combine)
 // instead of their sum — the communication/computation overlap the paper's
-// blocking collectives leave on the table. Algorithm selection routes
-// through the same CollectivePolicy dispatcher as the blocking forms
-// (kCollDispatch events, coll.algo.* counters), so forced --coll-algo and
-// the analytic model apply unchanged.
+// blocking collectives leave on the table.
+//
+// One schedule per family serves both forms: each entry point records its
+// dispatch exactly like the blocking form (kCollDispatch events,
+// coll.algo.* counters) and runs the same family switch (detail::run_* in
+// policy.hpp) in SchedMode::kDeferred, so forced --coll-algo, tuned knobs
+// and the analytic model apply unchanged.
 //
 // Contract: every participating PE must call wait() on every CollReq, in
 // the same order (SPMD discipline; waits may be out of issue order as long
 // as they agree across PEs). A collective whose work completes inside the
-// call (hierarchical, reduce-family, n == 1) returns an already-complete
-// CollReq whose wait() is a no-op — callers treat every request uniformly.
+// call (every reduce, the ring allreduce, n == 1, an empty ring payload)
+// returns an already-complete CollReq whose wait() is a no-op — callers
+// treat every request uniformly.
 // Any barrier is a full fence and also completes an in-flight collective;
 // wait() stays mandatory for the modeled-time accounting and portability.
 
@@ -50,49 +54,10 @@ CollPipelineCounters coll_pipeline_counters();
 void reset_coll_pipeline_counters();
 
 namespace detail {
+
+// note_pipeline_chunks and note_pipeline_wait are declared in
+// collectives.hpp, next to the schedules and the CollReq that count them.
 void note_pipeline_collective();
-void note_pipeline_chunks(std::size_t n);
-void note_pipeline_wait();
-}  // namespace detail
-
-/// Handle to an in-flight nbi collective. Value-semantic; the default
-/// instance is already complete. wait() completes ALL of the calling PE's
-/// outstanding nonblocking traffic (it is a quiet) and synchronizes the
-/// communicator — after it returns, every PE's result buffer is valid and
-/// its XbrSan zone is closed.
-class CollReq {
- public:
-  CollReq() = default;
-  explicit CollReq(Communicator* comm)
-      : comm_(comm), done_(comm == nullptr) {}
-
-  bool done() const { return done_; }
-
-  void wait() {
-    if (!waited_) {
-      // Counted on the first wait() per handle — including already-complete
-      // requests, so coll.pipeline.waits tracks the SPMD discipline (one
-      // wait per issued collective), not which schedules happen to defer
-      // their final fence.
-      waited_ = true;
-      detail::note_pipeline_wait();
-    }
-    if (done_) return;
-    done_ = true;
-    comm_->barrier();  // barriers are full fences: quiet + rendezvous
-  }
-
- private:
-  Communicator* comm_ = nullptr;
-  bool done_ = true;
-  bool waited_ = false;
-};
-
-namespace detail {
-
-// pipeline_chunks / nbi_put_chunks / nbi_get_chunks live in
-// collectives/hierarchy.hpp (via policy.hpp) so the hierarchy engine can
-// share them; the tuner's chunk knob is their optional last argument.
 
 /// Open the kCollInFlight zone over the caller's result buffer; closed by
 /// CollReq::wait (or any other fence).
@@ -102,230 +67,6 @@ void open_coll_zone(const char* fn, T* dest, std::size_t nelems, int stride) {
   PeContext& ctx = xbrtime_ctx();
   ctx.machine().sanitizer().note_coll_dest(
       fn, ctx.rank(), dest, strided_span(nelems, stride) * sizeof(T));
-}
-
-// -- Tree broadcast, chunk-pipelined, final fence deferred ------------------
-
-template <class T>
-CollReq tree_broadcast_nbi(T* dest, const T* src, std::size_t nelems,
-                           int stride, int root, Communicator& comm) {
-  const int vr = collective_prologue(comm, root, stride);
-  const int n = comm.n_pes();
-  if (vr == 0 && nelems > 0 && dest != src) {
-    xbr_put(dest, src, nelems, stride, comm.world_rank(comm.rank()));
-  }
-  if (n == 1) return CollReq{};
-
-  PeContext& ctx = xbrtime_ctx();
-  const auto levels = ceil_log2(static_cast<std::uint64_t>(n));
-  unsigned mask = (1u << levels) - 1u;
-  const auto uvr = static_cast<unsigned>(vr);
-  std::uint64_t stage = 0;
-  for (int i = static_cast<int>(levels) - 1; i >= 0; --i) {
-    mask ^= (1u << i);
-    ctx.trace().record(EventKind::kStageBegin, -1, stage, mask);
-    if ((uvr & mask) == 0 && (uvr & (1u << i)) == 0) {
-      const int vpart = static_cast<int>(uvr ^ (1u << i)) % n;
-      const int lpart = logical_rank(vpart, root, n);
-      if (vr < vpart && nelems > 0) {
-        const T* from = (vr == 0) ? src : dest;
-        nbi_put_chunks(dest, from, nelems, stride, comm.world_rank(lpart));
-      }
-    }
-    // Dependent stages are ordered by a barrier; the FINAL stage's fence is
-    // CollReq::wait — the deferred tail that buys the overlap.
-    if (i > 0) comm.barrier();
-    ctx.trace().record(EventKind::kStageEnd, -1, stage, mask);
-    ++stage;
-  }
-  open_coll_zone("xbr_broadcast_nbi", dest, nelems, stride);
-  return CollReq{&comm};
-}
-
-// -- Ring broadcast, segmented, final fence deferred ------------------------
-
-template <class T>
-CollReq ring_broadcast_nbi(T* dest, const T* src, std::size_t nelems,
-                           int stride, int root, Communicator& comm) {
-  const int vr = collective_prologue(comm, root, stride);
-  const int n = comm.n_pes();
-  if (vr == 0 && nelems > 0 && dest != src) {
-    xbr_put(dest, src, nelems, stride, comm.world_rank(comm.rank()));
-  }
-  comm.barrier();
-  if (n == 1 || nelems == 0) return CollReq{};
-
-  const std::size_t nseg = std::min(ring_default_segments(nelems), nelems);
-  const int next_world =
-      vr < n - 1 ? comm.world_rank(logical_rank(vr + 1, root, n)) : -1;
-
-  const int total_steps = (n - 2) + static_cast<int>(nseg);
-  for (int step = 0; step < total_steps; ++step) {
-    const int s = step - vr;
-    if (s >= 0 && s < static_cast<int>(nseg) && vr < n - 1) {
-      const std::size_t lo = nelems * static_cast<std::size_t>(s) / nseg;
-      const std::size_t hi = nelems * (static_cast<std::size_t>(s) + 1) / nseg;
-      if (hi > lo) {
-        const std::size_t at = lo * static_cast<std::size_t>(stride);
-        rma_transfer(dest + at, dest + at, sizeof(T), hi - lo, stride,
-                     next_world, /*remote_is_dest=*/true, /*nonblocking=*/true,
-                     /*atomic_elems=*/false, NbTrack::kInternal);
-        note_pipeline_chunks(1);
-      }
-    }
-    if (step < total_steps - 1) comm.barrier();  // final fence is wait()
-  }
-  open_coll_zone("xbr_broadcast_nbi", dest, nelems, stride);
-  return CollReq{&comm};
-}
-
-// -- Tree reduce, chunk-pipelined (complete at return) ----------------------
-
-template <class Op, class T>
-CollReq tree_reduce_nbi(T* dest, const T* src, std::size_t nelems, int stride,
-                        int root, Communicator& comm) {
-  const int vr = collective_prologue(comm, root, stride);
-  const int n = comm.n_pes();
-  const std::size_t span = strided_span(nelems, stride);
-
-  T* s_buff = static_cast<T*>(collective_staging_alloc(sizeof(T), span));
-  std::vector<T> l_buff(span);
-
-  for (std::size_t j = 0; j < nelems; ++j) {
-    const std::size_t at = j * static_cast<std::size_t>(stride);
-    s_buff[at] = src[at];
-  }
-  comm.barrier();  // all s_buffs loaded before any partner pulls
-
-  PeContext& ctx = xbrtime_ctx();
-  const auto levels = ceil_log2(static_cast<std::uint64_t>(n));
-  unsigned mask = (1u << levels) - 1u;
-  const auto uvr = static_cast<unsigned>(vr);
-  for (unsigned i = 0; i < levels; ++i) {
-    mask ^= (1u << i);
-    ctx.trace().record(EventKind::kStageBegin, -1, i, mask);
-    if ((uvr | mask) == mask && (uvr & (1u << i)) == 0) {
-      const int vpart = static_cast<int>(uvr ^ (1u << i)) % n;
-      const int lpart = logical_rank(vpart, root, n);
-      if (vr < vpart && nelems > 0) {
-        // The chunked gets land host-side at issue, so the combine runs
-        // while the modeled transfer is still in flight; the stage barrier
-        // then settles to max(transfer, combine) instead of their sum.
-        nbi_get_chunks(l_buff.data(), s_buff, nelems, stride,
-                       comm.world_rank(lpart));
-        for (std::size_t j = 0; j < nelems; ++j) {
-          const std::size_t at = j * static_cast<std::size_t>(stride);
-          s_buff[at] = Op::apply(s_buff[at], l_buff[at]);
-        }
-        ctx.clock().advance(kReduceOpCycles * nelems);
-      }
-    }
-    comm.barrier();  // next stage's partner pulls our combined s_buff
-    ctx.trace().record(EventKind::kStageEnd, -1, i, mask);
-  }
-
-  if (vr == 0) {
-    for (std::size_t k = 0; k < nelems; ++k) {
-      const std::size_t at = k * static_cast<std::size_t>(stride);
-      dest[at] = s_buff[at];
-    }
-  }
-  collective_staging_free(s_buff);
-  return CollReq{};  // staging freed, result landed: complete at return
-}
-
-// -- Ring allreduce, pipelined (complete at return) -------------------------
-
-template <class Op, class T>
-CollReq ring_allreduce_nbi(T* dest, const T* src, std::size_t nelems,
-                           int stride, Communicator& comm) {
-  (void)collective_prologue(comm, /*root=*/0, stride);
-  const int n = comm.n_pes();
-  const int me = comm.rank();
-
-  if (n == 1) {
-    if (nelems > 0 && dest != src) {
-      for (std::size_t j = 0; j < nelems; ++j) {
-        const std::size_t at = j * static_cast<std::size_t>(stride);
-        dest[at] = src[at];
-      }
-    }
-    return CollReq{};
-  }
-
-  PeContext& ctx = xbrtime_ctx();
-  T* acc = static_cast<T*>(
-      collective_staging_alloc(sizeof(T), std::max<std::size_t>(nelems, 1)));
-  pack_strided(acc, src, nelems, stride);
-  const std::size_t max_chunk = nelems / static_cast<std::size_t>(n) + 1;
-  std::vector<T> land(max_chunk);
-  const int prev_world = comm.world_rank((me + n - 1) % n);
-  comm.barrier();  // all accumulators loaded before any neighbour pulls
-
-  // Reduce-scatter with deferred-completion pulls: the chunked get charges
-  // only injection now, the combine runs during its modeled flight, and the
-  // step barrier settles to max(transfer, combine) — the per-step win over
-  // the blocking ring, which pays transfer + combine in sequence.
-  for (int s = 0; s < n - 1; ++s) {
-    const int c = ((me - 1 - s) % n + n) % n;
-    const std::size_t lo = ring_chunk_lo(nelems, n, c);
-    const std::size_t hi = ring_chunk_lo(nelems, n, c + 1);
-    if (hi > lo) {
-      nbi_get_chunks(land.data(), acc + lo, hi - lo, 1, prev_world);
-      for (std::size_t k = 0; k < hi - lo; ++k) {
-        acc[lo + k] = Op::apply(land[k], acc[lo + k]);
-      }
-      ctx.clock().advance(kReduceOpCycles * (hi - lo));
-    }
-    comm.barrier();
-  }
-
-  // Allgather: chunked nonblocking pulls, one barrier per step (the final
-  // one is required — a neighbour may still be pulling from our acc, which
-  // is about to be freed).
-  for (int s = 0; s < n - 1; ++s) {
-    const int c = ((me - s) % n + n) % n;
-    const std::size_t lo = ring_chunk_lo(nelems, n, c);
-    const std::size_t hi = ring_chunk_lo(nelems, n, c + 1);
-    if (hi > lo) {
-      nbi_get_chunks(acc + lo, acc + lo, hi - lo, 1, prev_world);
-    }
-    comm.barrier();
-  }
-
-  unpack_strided(dest, acc, nelems, stride);
-  collective_staging_free(acc);
-  return CollReq{};
-}
-
-// -- Ring allgather (fcollect), final fence deferred ------------------------
-
-template <class T>
-CollReq ring_allgather_nbi(T* dest, const T* src, std::size_t nelems_per_pe,
-                           Communicator& comm) {
-  (void)collective_prologue(comm, /*root=*/0, /*stride=*/1);
-  const int n = comm.n_pes();
-  const int me = comm.rank();
-  const std::size_t seg = nelems_per_pe;
-
-  if (seg > 0 && dest + static_cast<std::size_t>(me) * seg != src) {
-    xbr_put(dest + static_cast<std::size_t>(me) * seg, src, seg, 1,
-            comm.world_rank(me));
-  }
-  comm.barrier();
-  if (n == 1 || seg == 0) return CollReq{};
-
-  const int prev_world = comm.world_rank((me + n - 1) % n);
-  for (int s = 0; s < n - 1; ++s) {
-    const auto c = static_cast<std::size_t>(((me - 1 - s) % n + n) % n);
-    // Every pull reads a segment the previous step's barrier settled, so
-    // the LAST step needs no trailing barrier: defer it to wait().
-    nbi_get_chunks(dest + c * seg, dest + c * seg, seg, 1, prev_world);
-    if (s < n - 2) comm.barrier();
-  }
-  open_coll_zone("xbr_fcollect_nbi", dest,
-                 seg * static_cast<std::size_t>(n), 1);
-  return CollReq{&comm};
 }
 
 }  // namespace detail
@@ -339,104 +80,41 @@ CollReq xbr_broadcast_nbi(T* dest, const T* src, std::size_t nelems,
                           int stride, int root,
                           Communicator& comm = world_comm()) {
   detail::note_pipeline_collective();
-  const bool world = &comm == &world_comm();
-  const CollDecision d = detail::resolve_and_record(
-      CollKind::kBroadcast, comm.n_pes(), nelems, sizeof(T), world);
-  switch (d.algo) {
-    case CollAlgo::kRing:
-      return detail::ring_broadcast_nbi(dest, src, nelems, stride, root, comm);
-    case CollAlgo::kHier:
-      // Chunked deferred-completion transfers down the level stack; the
-      // innermost level's last stage stays unfenced so the returned request
-      // is live (CollReq::wait is the fence).
-      hier_broadcast(dest, src, nelems, stride, root,
-                     active_collective_policy().hier_shape(comm.n_pes(),
-                                                           d.radix, d.chunk),
-                     /*pipelined=*/true, /*defer_tail=*/true);
-      detail::open_coll_zone("xbr_broadcast_nbi", dest, nelems, stride);
-      return CollReq{&comm};
-    default:
-      if (d.radix != 2) {
-        detail::knomial_broadcast(dest, src, nelems, stride, root, d.radix,
-                                  comm, /*pipelined=*/true,
-                                  /*defer_last=*/true, d.chunk);
-        if (comm.n_pes() == 1) return CollReq{};
-        detail::open_coll_zone("xbr_broadcast_nbi", dest, nelems, stride);
-        return CollReq{&comm};
-      }
-      return detail::tree_broadcast_nbi(dest, src, nelems, stride, root, comm);
+  const CollDecision d =
+      detail::resolve_and_record(CollKind::kBroadcast, comm.n_pes(), nelems,
+                                 sizeof(T), &comm == &world_comm());
+  CollReq req = detail::run_broadcast(d, SchedMode::kDeferred, dest, src,
+                                      nelems, stride, root, comm);
+  if (!req.done()) {
+    detail::open_coll_zone("xbr_broadcast_nbi", dest, nelems, stride);
   }
+  return req;
 }
 
 template <class Op, class T>
 CollReq xbr_reduce_nbi(T* dest, const T* src, std::size_t nelems, int stride,
                        int root, Communicator& comm = world_comm()) {
   detail::note_pipeline_collective();
-  const bool world = &comm == &world_comm();
-  const CollDecision d = detail::resolve_and_record(
-      CollKind::kReduce, comm.n_pes(), nelems, sizeof(T), world);
-  switch (d.algo) {
-    case CollAlgo::kRing:
-      // ring_reduce is already a fully pipelined schedule (double-buffered
-      // landing, deferred combine); it completes internally.
-      ring_reduce<Op>(dest, src, nelems, stride, root, comm,
-                      detail::ring_segments_hint(nelems, d.chunk));
-      return CollReq{};
-    case CollAlgo::kHier:
-      // Pipelined up the level stack; the staging discipline makes this
-      // complete at return (like the tree-reduce form).
-      hier_reduce<Op>(dest, src, nelems, stride, root,
-                      active_collective_policy().hier_shape(comm.n_pes(),
-                                                            d.radix, d.chunk),
-                      /*pipelined=*/true);
-      return CollReq{};
-    default:
-      if (d.radix != 2) {
-        detail::knomial_reduce<Op>(dest, src, nelems, stride, root, d.radix,
-                                   comm, /*pipelined=*/true, d.chunk);
-        return CollReq{};
-      }
-      return detail::tree_reduce_nbi<Op>(dest, src, nelems, stride, root,
-                                         comm);
-  }
+  const CollDecision d =
+      detail::resolve_and_record(CollKind::kReduce, comm.n_pes(), nelems,
+                                 sizeof(T), &comm == &world_comm());
+  return detail::run_reduce<Op>(d, SchedMode::kDeferred, dest, src, nelems,
+                                stride, root, comm);
 }
 
 template <class Op, class T>
 CollReq xbr_reduce_all_nbi(T* dest, const T* src, std::size_t nelems,
                            int stride, Communicator& comm = world_comm()) {
   detail::note_pipeline_collective();
-  const bool world = &comm == &world_comm();
-  const CollDecision d = detail::resolve_and_record(
-      CollKind::kAllreduce, comm.n_pes(), nelems, sizeof(T), world);
-  switch (d.algo) {
-    case CollAlgo::kRing:
-      return detail::ring_allreduce_nbi<Op>(dest, src, nelems, stride, comm);
-    case CollAlgo::kHier:
-      // Reduce up then broadcast down the level stack, the broadcast tail
-      // deferred: the returned request is live.
-      hier_reduce_all<Op>(dest, src, nelems, stride,
-                          active_collective_policy().hier_shape(
-                              comm.n_pes(), d.radix, d.chunk),
-                          /*pipelined=*/true, /*defer_tail=*/true);
-      detail::open_coll_zone("xbr_reduce_all_nbi", dest, nelems, stride);
-      return CollReq{&comm};
-    default: {
-      if (d.radix != 2) {
-        detail::knomial_reduce<Op>(dest, src, nelems, stride, /*root=*/0,
-                                   d.radix, comm, /*pipelined=*/true, d.chunk);
-        detail::knomial_broadcast(dest, dest, nelems, stride, /*root=*/0,
-                                  d.radix, comm, /*pipelined=*/true,
-                                  /*defer_last=*/true, d.chunk);
-        if (comm.n_pes() == 1) return CollReq{};
-        detail::open_coll_zone("xbr_reduce_all_nbi", dest, nelems, stride);
-        return CollReq{&comm};
-      }
-      CollReq r =
-          detail::tree_reduce_nbi<Op>(dest, src, nelems, stride, 0, comm);
-      r.wait();
-      return detail::tree_broadcast_nbi(dest, dest, nelems, stride, 0, comm);
-    }
+  const CollDecision d =
+      detail::resolve_and_record(CollKind::kAllreduce, comm.n_pes(), nelems,
+                                 sizeof(T), &comm == &world_comm());
+  CollReq req = detail::run_reduce_all<Op>(d, SchedMode::kDeferred, dest,
+                                           src, nelems, stride, comm);
+  if (!req.done()) {
+    detail::open_coll_zone("xbr_reduce_all_nbi", dest, nelems, stride);
   }
+  return req;
 }
 
 template <class T>
@@ -444,51 +122,13 @@ CollReq xbr_fcollect_nbi(T* dest, const T* src, std::size_t nelems_per_pe,
                          Communicator& comm = world_comm()) {
   detail::note_pipeline_collective();
   const int n = comm.n_pes();
-  const bool world = &comm == &world_comm();
   const std::size_t total = nelems_per_pe * static_cast<std::size_t>(n);
-  const CollDecision d = detail::resolve_and_record(CollKind::kAllgather, n,
-                                                    total, sizeof(T), world);
-  switch (d.algo) {
-    case CollAlgo::kRing:
-      return detail::ring_allgather_nbi(dest, src, nelems_per_pe, comm);
-    case CollAlgo::kHier:
-      hier_fcollect(dest, src, nelems_per_pe,
-                    active_collective_policy().hier_shape(n, d.radix,
-                                                          d.chunk),
-                    /*pipelined=*/true, /*defer_tail=*/true);
-      detail::open_coll_zone("xbr_fcollect_nbi", dest, total, 1);
-      return CollReq{&comm};
-    default: {
-      if (d.radix != 2) {
-        const int me = comm.rank();
-        if (nelems_per_pe > 0 &&
-            dest + static_cast<std::size_t>(me) * nelems_per_pe != src) {
-          xbr_put(dest + static_cast<std::size_t>(me) * nelems_per_pe, src,
-                  nelems_per_pe, 1, comm.world_rank(me));
-        }
-        detail::knomial_gather_blocks(dest, nelems_per_pe, /*start=*/0,
-                                      /*sub=*/1, d.radix, comm);
-        detail::knomial_broadcast(dest, dest, total, /*stride=*/1,
-                                  /*root=*/0, d.radix, comm,
-                                  /*pipelined=*/true, /*defer_last=*/true,
-                                  d.chunk);
-        if (n == 1) return CollReq{};
-        detail::open_coll_zone("xbr_fcollect_nbi", dest, total, 1);
-        return CollReq{&comm};
-      }
-      // The paper's composition: gather to rank 0, then pipelined broadcast.
-      std::vector<int> msgs(static_cast<std::size_t>(n),
-                            static_cast<int>(nelems_per_pe));
-      std::vector<int> disp(static_cast<std::size_t>(n));
-      for (int r = 0; r < n; ++r) {
-        disp[static_cast<std::size_t>(r)] =
-            static_cast<int>(static_cast<std::size_t>(r) * nelems_per_pe);
-      }
-      gather(dest, src, msgs.data(), disp.data(), total, /*root=*/0, comm);
-      return detail::tree_broadcast_nbi(dest, dest, total, /*stride=*/1,
-                                        /*root=*/0, comm);
-    }
-  }
+  const CollDecision d = detail::resolve_and_record(
+      CollKind::kAllgather, n, total, sizeof(T), &comm == &world_comm());
+  CollReq req = detail::run_fcollect(d, SchedMode::kDeferred, dest, src,
+                                     nelems_per_pe, comm);
+  if (!req.done()) detail::open_coll_zone("xbr_fcollect_nbi", dest, total, 1);
+  return req;
 }
 
 }  // namespace xbgas

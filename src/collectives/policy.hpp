@@ -3,12 +3,13 @@
 // Cost-model-driven collective algorithm selection — the layer the paper's
 // §7 future work asks for once "algorithms optimized for larger message
 // sizes" exist alongside the binomial tree. The repo now carries three
-// algorithm families (k-nomial tree in collectives.hpp/hierarchy.hpp,
-// segmented ring in ring.hpp, locality-aware hierarchical in
-// hierarchy.hpp); CollectivePolicy is the analytic latency–bandwidth model
-// that picks between them per collective and per (n_pes, payload bytes)
-// point, and the dispatch_* templates below are the call sites that
-// consult it.
+// algorithm families (k-nomial tree in collectives.hpp, segmented ring in
+// ring.hpp, locality-aware hierarchical in hierarchy.hpp); CollectivePolicy
+// is the analytic latency–bandwidth model that picks between them per
+// collective and per (n_pes, payload bytes) point. The detail::run_*
+// templates below hold the one family switch per collective kind; the
+// blocking dispatch_* entry points, the nbi entry points (nbi.hpp) and the
+// tuner all run through them.
 //
 // The model is the classic alpha–beta decomposition parameterized from the
 // machine's own NetCostParams (docs/COLLECTIVES.md derives the formulas):
@@ -283,6 +284,120 @@ inline std::size_t ring_segments_hint(std::size_t nelems, std::size_t chunk) {
   return chunk == 0 ? 0 : std::clamp<std::size_t>(nelems / chunk, 1, 64);
 }
 
+// -- The family switches ----------------------------------------------------
+//
+// One switch per collective kind, shared by the blocking dispatch_* entry
+// points (kBlocking), the nbi entry points in nbi.hpp (kDeferred) and the
+// tuner's candidate runs (kBlocking, no dispatch accounting). Each runs
+// decision `d`'s schedule and returns a live CollReq only when the
+// schedule left its final fence to CollReq::wait.
+
+/// The level stack the hier family runs `d` on, for an n-PE world.
+inline HierShape hier_shape_for(const CollDecision& d, int n_pes) {
+  return active_collective_policy().hier_shape(n_pes, d.radix, d.chunk);
+}
+
+template <class T>
+CollReq run_broadcast(const CollDecision& d, SchedMode mode, T* dest,
+                      const T* src, std::size_t nelems, int stride, int root,
+                      Communicator& comm) {
+  switch (d.algo) {
+    case CollAlgo::kRing:
+      return ring_broadcast(dest, src, nelems, stride, root, comm,
+                            ring_segments_hint(nelems, d.chunk), mode);
+    case CollAlgo::kHier:
+      return hier_broadcast(dest, src, nelems, stride, root,
+                            hier_shape_for(d, comm.n_pes()), mode);
+    default:
+      return knomial_broadcast(dest, src, nelems, stride, root, d.radix, comm,
+                               mode, d.chunk);
+  }
+}
+
+/// A reduce completes at return in every mode; the nbi modes pipeline it.
+template <class Op, class T>
+CollReq run_reduce(const CollDecision& d, SchedMode mode, T* dest,
+                   const T* src, std::size_t nelems, int stride, int root,
+                   Communicator& comm) {
+  switch (d.algo) {
+    case CollAlgo::kRing:
+      // Already a fully pipelined schedule (double-buffered landing,
+      // deferred combine) in every mode.
+      ring_reduce<Op>(dest, src, nelems, stride, root, comm,
+                      ring_segments_hint(nelems, d.chunk));
+      break;
+    case CollAlgo::kHier:
+      hier_reduce<Op>(dest, src, nelems, stride, root,
+                      hier_shape_for(d, comm.n_pes()), mode);
+      break;
+    default:
+      knomial_reduce<Op>(dest, src, nelems, stride, root, d.radix, comm, mode,
+                         d.chunk);
+      break;
+  }
+  return CollReq{};
+}
+
+template <class Op, class T>
+CollReq run_reduce_all(const CollDecision& d, SchedMode mode, T* dest,
+                       const T* src, std::size_t nelems, int stride,
+                       Communicator& comm) {
+  switch (d.algo) {
+    case CollAlgo::kRing:
+      ring_allreduce<Op>(dest, src, nelems, stride, comm, mode);
+      return CollReq{};
+    case CollAlgo::kHier:
+      return hier_reduce_all<Op>(dest, src, nelems, stride,
+                                 hier_shape_for(d, comm.n_pes()), mode);
+    default:
+      knomial_reduce<Op>(dest, src, nelems, stride, /*root=*/0, d.radix, comm,
+                         fenced(mode), d.chunk);
+      return knomial_broadcast(dest, dest, nelems, stride, /*root=*/0,
+                               d.radix, comm, mode, d.chunk);
+  }
+}
+
+template <class T>
+CollReq run_fcollect(const CollDecision& d, SchedMode mode, T* dest,
+                     const T* src, std::size_t nelems_per_pe,
+                     Communicator& comm) {
+  const int n = comm.n_pes();
+  const std::size_t total = nelems_per_pe * static_cast<std::size_t>(n);
+  switch (d.algo) {
+    case CollAlgo::kRing:
+      return ring_allgather(dest, src, nelems_per_pe, comm, mode);
+    case CollAlgo::kHier:
+      return hier_fcollect(dest, src, nelems_per_pe, hier_shape_for(d, n),
+                           mode);
+    default:
+      if (d.radix != 2) {
+        // k-nomial block gather to rank 0.
+        const int me = comm.rank();
+        if (nelems_per_pe > 0 &&
+            dest + static_cast<std::size_t>(me) * nelems_per_pe != src) {
+          xbr_put(dest + static_cast<std::size_t>(me) * nelems_per_pe, src,
+                  nelems_per_pe, 1, comm.world_rank(me));
+        }
+        knomial_gather_blocks(dest, nelems_per_pe, /*start=*/0, /*sub=*/1,
+                              d.radix, comm);
+      } else {
+        // The paper's composition: gather (Algorithm 4) to rank 0. The
+        // radix-2 block gather above would be cheaper in modeled cycles;
+        // switching to it is an algorithm change with its own measurement.
+        std::vector<int> msgs(static_cast<std::size_t>(n),
+                              static_cast<int>(nelems_per_pe));
+        std::vector<int> disp(static_cast<std::size_t>(n));
+        for (int r = 0; r < n; ++r) {
+          disp[static_cast<std::size_t>(r)] = static_cast<int>(
+              static_cast<std::size_t>(r) * nelems_per_pe);
+        }
+        gather(dest, src, msgs.data(), disp.data(), total, /*root=*/0, comm);
+      }
+      return knomial_broadcast(dest, dest, total, /*stride=*/1, /*root=*/0,
+                               d.radix, comm, mode, d.chunk);
+  }
+}
+
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -292,131 +407,42 @@ inline std::size_t ring_segments_hint(std::size_t nelems, std::size_t chunk) {
 template <class T>
 void dispatch_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
                         int root, Communicator& comm = world_comm()) {
-  const bool world = &comm == &world_comm();
-  const CollDecision d = detail::resolve_and_record(
-      CollKind::kBroadcast, comm.n_pes(), nelems, sizeof(T), world);
-  switch (d.algo) {
-    case CollAlgo::kRing:
-      ring_broadcast(dest, src, nelems, stride, root, comm,
-                     detail::ring_segments_hint(nelems, d.chunk));
-      break;
-    case CollAlgo::kHier:
-      hier_broadcast(dest, src, nelems, stride, root,
-                     active_collective_policy().hier_shape(comm.n_pes(),
-                                                           d.radix, d.chunk));
-      break;
-    default:
-      if (d.radix != 2) {
-        detail::knomial_broadcast(dest, src, nelems, stride, root, d.radix,
-                                  comm);
-      } else {
-        broadcast(dest, src, nelems, stride, root, comm);
-      }
-      break;
-  }
+  const CollDecision d =
+      detail::resolve_and_record(CollKind::kBroadcast, comm.n_pes(), nelems,
+                                 sizeof(T), &comm == &world_comm());
+  detail::run_broadcast(d, SchedMode::kBlocking, dest, src, nelems, stride,
+                        root, comm);
 }
 
 template <class Op, class T>
 void dispatch_reduce(T* dest, const T* src, std::size_t nelems, int stride,
                      int root, Communicator& comm = world_comm()) {
-  const bool world = &comm == &world_comm();
-  const CollDecision d = detail::resolve_and_record(
-      CollKind::kReduce, comm.n_pes(), nelems, sizeof(T), world);
-  switch (d.algo) {
-    case CollAlgo::kRing:
-      ring_reduce<Op>(dest, src, nelems, stride, root, comm,
-                      detail::ring_segments_hint(nelems, d.chunk));
-      break;
-    case CollAlgo::kHier:
-      hier_reduce<Op>(dest, src, nelems, stride, root,
-                      active_collective_policy().hier_shape(comm.n_pes(),
-                                                            d.radix, d.chunk));
-      break;
-    default:
-      if (d.radix != 2) {
-        detail::knomial_reduce<Op>(dest, src, nelems, stride, root, d.radix,
-                                   comm);
-      } else {
-        reduce<Op>(dest, src, nelems, stride, root, comm);
-      }
-      break;
-  }
+  const CollDecision d =
+      detail::resolve_and_record(CollKind::kReduce, comm.n_pes(), nelems,
+                                 sizeof(T), &comm == &world_comm());
+  detail::run_reduce<Op>(d, SchedMode::kBlocking, dest, src, nelems, stride,
+                         root, comm);
 }
 
 template <class Op, class T>
 void dispatch_reduce_all(T* dest, const T* src, std::size_t nelems,
                          int stride, Communicator& comm = world_comm()) {
-  const bool world = &comm == &world_comm();
-  const CollDecision d = detail::resolve_and_record(
-      CollKind::kAllreduce, comm.n_pes(), nelems, sizeof(T), world);
-  switch (d.algo) {
-    case CollAlgo::kRing:
-      ring_allreduce<Op>(dest, src, nelems, stride, comm);
-      break;
-    case CollAlgo::kHier:
-      hier_reduce_all<Op>(dest, src, nelems, stride,
-                          active_collective_policy().hier_shape(
-                              comm.n_pes(), d.radix, d.chunk));
-      break;
-    default:
-      if (d.radix != 2) {
-        detail::knomial_reduce<Op>(dest, src, nelems, stride, /*root=*/0,
-                                   d.radix, comm);
-        detail::knomial_broadcast(dest, dest, nelems, stride, /*root=*/0,
-                                  d.radix, comm);
-      } else {
-        reduce<Op>(dest, src, nelems, stride, /*root=*/0, comm);
-        broadcast(dest, dest, nelems, stride, /*root=*/0, comm);
-      }
-      break;
-  }
+  const CollDecision d =
+      detail::resolve_and_record(CollKind::kAllreduce, comm.n_pes(), nelems,
+                                 sizeof(T), &comm == &world_comm());
+  detail::run_reduce_all<Op>(d, SchedMode::kBlocking, dest, src, nelems,
+                             stride, comm);
 }
 
 template <class T>
 void dispatch_fcollect(T* dest, const T* src, std::size_t nelems_per_pe,
                        Communicator& comm = world_comm()) {
   const int n = comm.n_pes();
-  const bool world = &comm == &world_comm();
-  const std::size_t total =
-      nelems_per_pe * static_cast<std::size_t>(n);
-  const CollDecision d = detail::resolve_and_record(CollKind::kAllgather, n,
-                                                    total, sizeof(T), world);
-  switch (d.algo) {
-    case CollAlgo::kRing:
-      ring_allgather(dest, src, nelems_per_pe, comm);
-      break;
-    case CollAlgo::kHier:
-      hier_fcollect(dest, src, nelems_per_pe,
-                    active_collective_policy().hier_shape(n, d.radix,
-                                                          d.chunk));
-      break;
-    default: {
-      if (d.radix != 2) {
-        const int me = comm.rank();
-        if (nelems_per_pe > 0 &&
-            dest + static_cast<std::size_t>(me) * nelems_per_pe != src) {
-          xbr_put(dest + static_cast<std::size_t>(me) * nelems_per_pe, src,
-                  nelems_per_pe, 1, comm.world_rank(me));
-        }
-        detail::knomial_gather_blocks(dest, nelems_per_pe, /*start=*/0,
-                                      /*sub=*/1, d.radix, comm);
-        detail::knomial_broadcast(dest, dest, total, /*stride=*/1,
-                                  /*root=*/0, d.radix, comm);
-        break;
-      }
-      // The paper's composition: gather to rank 0, then broadcast.
-      std::vector<int> msgs(static_cast<std::size_t>(n),
-                            static_cast<int>(nelems_per_pe));
-      std::vector<int> disp(static_cast<std::size_t>(n));
-      for (int r = 0; r < n; ++r) {
-        disp[static_cast<std::size_t>(r)] = static_cast<int>(
-            static_cast<std::size_t>(r) * nelems_per_pe);
-      }
-      gather(dest, src, msgs.data(), disp.data(), total, /*root=*/0, comm);
-      broadcast(dest, dest, total, /*stride=*/1, /*root=*/0, comm);
-      break;
-    }
-  }
+  const CollDecision d = detail::resolve_and_record(
+      CollKind::kAllgather, n, nelems_per_pe * static_cast<std::size_t>(n),
+      sizeof(T), &comm == &world_comm());
+  detail::run_fcollect(d, SchedMode::kBlocking, dest, src, nelems_per_pe,
+                       comm);
 }
 
 }  // namespace xbgas

@@ -10,7 +10,12 @@
 //                    bandwidth-optimal (each PE moves ~2B bytes total)
 //   ring_allgather   fixed-count gather-to-all, n-1 steps of B/n bytes
 //
-// In the pipelined forms the message is split into S segments that flow
+// Broadcast, allreduce and allgather take the SchedMode their caller picked
+// (collectives.hpp): kBlocking moves each hop with xbr_put/xbr_get, the
+// nbi modes with nonblocking transfers, and kDeferred leaves the final
+// step's fence to CollReq::wait where the schedule allows it.
+//
+// In the segmented forms the message is split into S segments that flow
 // along the virtual-rank chain one hop per step, with all links active once
 // the pipeline fills ((n-2) + S total steps). Per-PE data volume is the
 // payload itself (vs the binomial tree, where interior nodes forward the
@@ -35,11 +40,14 @@ constexpr std::size_t ring_default_segments(std::size_t nelems) {
 
 /// Broadcast with the same contract as xbgas::broadcast (symmetric dest on
 /// every PE, root-private src, stride in elements), pipelined over a ring.
-/// `segments` == 0 selects the heuristic.
+/// `segments` == 0 selects the heuristic. In the nbi modes each segment hop
+/// is one nonblocking transfer; kDeferred leaves the last step unfenced and
+/// returns a live request (when n > 1 and the payload is not empty).
 template <class T>
-void ring_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
-                    int root, Communicator& comm = world_comm(),
-                    std::size_t segments = 0) {
+CollReq ring_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
+                       int root, Communicator& comm = world_comm(),
+                       std::size_t segments = 0,
+                       SchedMode mode = SchedMode::kBlocking) {
   const int vr = detail::collective_prologue(comm, root, stride);
   const int n = comm.n_pes();
 
@@ -48,13 +56,14 @@ void ring_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
     xbr_put(dest, src, nelems, stride, comm.world_rank(comm.rank()));
   }
   comm.barrier();
-  if (n == 1 || nelems == 0) return;
+  if (n == 1 || nelems == 0) return CollReq{};
 
   const std::size_t nseg =
       std::min(segments == 0 ? ring_default_segments(nelems) : segments,
                nelems);
   const int next_world =
       vr < n - 1 ? comm.world_rank(logical_rank(vr + 1, root, n)) : -1;
+  const bool defer = mode == SchedMode::kDeferred;
 
   const int total_steps = (n - 2) + static_cast<int>(nseg);
   for (int step = 0; step < total_steps; ++step) {
@@ -65,13 +74,15 @@ void ring_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
       const std::size_t hi =
           nelems * (static_cast<std::size_t>(s) + 1) / nseg;
       if (hi > lo) {
-        xbr_put(dest + lo * static_cast<std::size_t>(stride),
-                dest + lo * static_cast<std::size_t>(stride), hi - lo,
-                stride, next_world);
+        // A segment is one transfer in every mode: chunk = its length.
+        const std::size_t at = lo * static_cast<std::size_t>(stride);
+        detail::hop_put(mode, dest + at, dest + at, hi - lo, stride,
+                        next_world, /*chunk=*/hi - lo);
       }
     }
-    comm.barrier();
+    if (!(defer && step == total_steps - 1)) comm.barrier();
   }
+  return defer ? CollReq{&comm} : CollReq{};
 }
 
 namespace detail {
@@ -112,9 +123,16 @@ constexpr std::size_t ring_chunk_lo(std::size_t nelems, int n, int c) {
 /// Chunk c is combined along the ring in ascending rank order starting at
 /// its owner, so for a fixed (inputs, n_pes) the float combine order is
 /// deterministic (a different — but equally fixed — order than the tree's).
+///
+/// In the nbi modes every pull is a chunked nonblocking get: it charges
+/// only injection at issue, the combine runs during its modeled flight, and
+/// the step barrier settles to max(transfer, combine) instead of their sum.
+/// Every step stays fenced (a neighbour may still be pulling from acc,
+/// which is freed at the end), so the allreduce completes at return.
 template <class Op, class T>
 void ring_allreduce(T* dest, const T* src, std::size_t nelems, int stride,
-                    Communicator& comm = world_comm()) {
+                    Communicator& comm = world_comm(),
+                    SchedMode mode = SchedMode::kBlocking) {
   (void)detail::collective_prologue(comm, /*root=*/0, stride);
   const int n = comm.n_pes();
   const int me = comm.rank();
@@ -145,7 +163,7 @@ void ring_allreduce(T* dest, const T* src, std::size_t nelems, int stride,
     const std::size_t lo = detail::ring_chunk_lo(nelems, n, c);
     const std::size_t hi = detail::ring_chunk_lo(nelems, n, c + 1);
     if (hi > lo) {
-      xbr_get(land.data(), acc + lo, hi - lo, 1, prev_world);
+      detail::hop_get(mode, land.data(), acc + lo, hi - lo, 1, prev_world);
       for (std::size_t k = 0; k < hi - lo; ++k) {
         acc[lo + k] = Op::apply(land[k], acc[lo + k]);
       }
@@ -161,7 +179,7 @@ void ring_allreduce(T* dest, const T* src, std::size_t nelems, int stride,
     const std::size_t lo = detail::ring_chunk_lo(nelems, n, c);
     const std::size_t hi = detail::ring_chunk_lo(nelems, n, c + 1);
     if (hi > lo) {
-      xbr_get(acc + lo, acc + lo, hi - lo, 1, prev_world);
+      detail::hop_get(mode, acc + lo, acc + lo, hi - lo, 1, prev_world);
     }
     comm.barrier();
   }
@@ -177,10 +195,13 @@ void ring_allreduce(T* dest, const T* src, std::size_t nelems, int stride,
 /// Fixed-count gather-to-all with the fcollect contract (dest symmetric,
 /// n_pes * nelems_per_pe elements; src may be private). dest doubles as the
 /// symmetric exchange buffer: each PE deposits its own segment, then n-1
-/// steps circulate the segments around the ring, B/n bytes per step.
+/// steps circulate the segments around the ring, B/n bytes per step. Every
+/// pull reads a segment the previous step's barrier settled, so kDeferred
+/// leaves the last step's barrier to CollReq::wait.
 template <class T>
-void ring_allgather(T* dest, const T* src, std::size_t nelems_per_pe,
-                    Communicator& comm = world_comm()) {
+CollReq ring_allgather(T* dest, const T* src, std::size_t nelems_per_pe,
+                       Communicator& comm = world_comm(),
+                       SchedMode mode = SchedMode::kBlocking) {
   (void)detail::collective_prologue(comm, /*root=*/0, /*stride=*/1);
   const int n = comm.n_pes();
   const int me = comm.rank();
@@ -191,15 +212,17 @@ void ring_allgather(T* dest, const T* src, std::size_t nelems_per_pe,
             comm.world_rank(me));
   }
   comm.barrier();
-  if (n == 1 || seg == 0) return;
+  if (n == 1 || seg == 0) return CollReq{};
 
   const int prev_world = comm.world_rank((me + n - 1) % n);
+  const bool defer = mode == SchedMode::kDeferred;
   for (int s = 0; s < n - 1; ++s) {
     // The left neighbour obtained segment (me-1-s) one step earlier.
     const auto c = static_cast<std::size_t>(((me - 1 - s) % n + n) % n);
-    xbr_get(dest + c * seg, dest + c * seg, seg, 1, prev_world);
-    comm.barrier();
+    detail::hop_get(mode, dest + c * seg, dest + c * seg, seg, 1, prev_world);
+    if (!(defer && s == n - 2)) comm.barrier();
   }
+  return defer ? CollReq{&comm} : CollReq{};
 }
 
 // ---------------------------------------------------------------------------

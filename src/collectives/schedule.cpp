@@ -64,6 +64,42 @@ std::vector<TreeEdge> knomial_reduce_schedule(int n_pes, int radix) {
   return edges;
 }
 
+namespace detail {
+
+std::vector<TreeEdge> knomial_broadcast_sends(int n_pes, int radix,
+                                              int vrank) {
+  const int stages = knomial_stages(n_pes, radix);
+  std::vector<TreeEdge> edges;
+  long long step = 1;
+  for (int s = 1; s < stages; ++s) step *= radix;  // radix^(stages-1)
+  for (int s = 0; s < stages; ++s, step /= radix) {
+    if (vrank % (step * radix) != 0) continue;  // not a holder yet
+    for (int j = 1; j < radix; ++j) {
+      const long long to = vrank + j * step;
+      if (to >= n_pes) break;
+      edges.push_back(TreeEdge{s, vrank, static_cast<int>(to)});
+    }
+  }
+  return edges;
+}
+
+std::vector<TreeEdge> knomial_reduce_pulls(int n_pes, int radix, int vrank) {
+  const int stages = knomial_stages(n_pes, radix);
+  std::vector<TreeEdge> edges;
+  long long step = 1;
+  for (int s = 0; s < stages; ++s, step *= radix) {
+    if (vrank % (step * radix) != 0) continue;  // pulled by a parent earlier
+    for (int j = 1; j < radix; ++j) {
+      const long long from = vrank + j * step;
+      if (from >= n_pes) break;
+      edges.push_back(TreeEdge{s, static_cast<int>(from), vrank});
+    }
+  }
+  return edges;
+}
+
+}  // namespace detail
+
 std::vector<TreeEdge> broadcast_schedule(int n_pes) {
   return knomial_broadcast_schedule(n_pes, 2);
 }

@@ -2,11 +2,12 @@
 
 // Communication-schedule enumeration for k-nomial trees (paper §4.2,
 // Figure 3, generalized to radix k following shcoll's runtime-configurable
-// tree degree). Pure functions of (n_pes, radix): used by the Figure-3 bench
-// to print the stage-by-stage tree, by tests to assert the edge set, by the
-// topology ablation (A2) to measure per-stage link load without running
-// data through the runtime, and by the hierarchy engine
-// (collectives/hierarchy.hpp) to drive every level's transfers.
+// tree degree). Pure functions of (n_pes, radix): the full edge lists are
+// used by the Figure-3 bench to print the stage-by-stage tree, by tests to
+// assert the edge set, and by the topology ablation (A2) to measure
+// per-stage link load without running data through the runtime. The
+// k-nomial executor (collectives.hpp) asks only for the calling PE's own
+// edges, which cost O(radix * log n) instead of O(n).
 //
 // The binomial tree of the paper is exactly the radix-2 special case:
 // broadcast_schedule(n) == knomial_broadcast_schedule(n, 2), edge for edge.
@@ -51,5 +52,19 @@ std::vector<TreeEdge> knomial_broadcast_schedule(int n_pes, int radix);
 /// v ≡ 0 (mod radix*step) pulls the accumulated subtrees of v + j*step for
 /// j = 1..radix-1. radix == 2 reproduces reduce_schedule exactly.
 std::vector<TreeEdge> knomial_reduce_schedule(int n_pes, int radix);
+
+namespace detail {
+
+/// The edges of knomial_broadcast_schedule(n_pes, radix) that `vrank`
+/// sends (from_vrank == vrank), in the same order, without building the
+/// others.
+std::vector<TreeEdge> knomial_broadcast_sends(int n_pes, int radix,
+                                              int vrank);
+
+/// The edges of knomial_reduce_schedule(n_pes, radix) that `vrank` pulls
+/// (to_vrank == vrank), in the same order, without building the others.
+std::vector<TreeEdge> knomial_reduce_pulls(int n_pes, int radix, int vrank);
+
+}  // namespace detail
 
 }  // namespace xbgas

@@ -75,7 +75,12 @@ std::shared_ptr<ClockSyncBarrier> acquire_barrier(
         machine.unregister_barrier(b);
         {
           const std::lock_guard<std::mutex> inner(g_registry_mutex);
-          g_registry.erase(key);
+          // Evict only a dead entry: a member may already have founded a
+          // fresh barrier under this key (see team.cpp).
+          if (auto it = g_registry.find(key);
+              it != g_registry.end() && it->second.expired()) {
+            g_registry.erase(it);
+          }
           // Last member let go of a poisoned rendezvous: leave a tombstone
           // so any straggler of this wave throws instead of founding a
           // fresh barrier nobody else will ever arrive at.

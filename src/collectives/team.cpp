@@ -1,5 +1,6 @@
 #include "collectives/team.hpp"
 
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -16,16 +17,17 @@ namespace {
 // each) but must share one rendezvous barrier. This registry hands every
 // member of the same (machine, start, stride, size) active set the same
 // ClockSyncBarrier; the custom deleter unregisters and evicts it when the
-// last member's Team is destroyed.
+// last member's Team is destroyed. The machine is keyed by its never-reused
+// instance_id, not its address, which a later Machine may reuse.
 
-using TeamKey = std::tuple<Machine*, int, int, int>;
+using TeamKey = std::tuple<std::uint64_t, int, int, int>;
 
 std::mutex g_registry_mutex;
 std::map<TeamKey, std::weak_ptr<ClockSyncBarrier>> g_registry;
 
 std::shared_ptr<ClockSyncBarrier> acquire_barrier(Machine& machine, int start,
                                                   int stride, int size) {
-  const TeamKey key{&machine, start, stride, size};
+  const TeamKey key{machine.instance_id(), start, stride, size};
   const std::lock_guard<std::mutex> lock(g_registry_mutex);
   if (auto it = g_registry.find(key); it != g_registry.end()) {
     if (auto existing = it->second.lock()) return existing;
@@ -54,8 +56,14 @@ std::shared_ptr<ClockSyncBarrier> acquire_barrier(Machine& machine, int start,
       raw, [key, &machine](ClockSyncBarrier* b) {
         machine.unregister_barrier(b);
         {
+          // Between the last release and this lock a member may already
+          // have founded the next barrier under the same key; evict the
+          // entry only while it still points at a dead barrier.
           const std::lock_guard<std::mutex> inner(g_registry_mutex);
-          g_registry.erase(key);
+          if (auto it = g_registry.find(key);
+              it != g_registry.end() && it->second.expired()) {
+            g_registry.erase(it);
+          }
         }
         delete b;
       });

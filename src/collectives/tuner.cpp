@@ -13,77 +13,25 @@ namespace {
 constexpr CollKind kAllKinds[] = {CollKind::kBroadcast, CollKind::kReduce,
                                   CollKind::kAllreduce, CollKind::kAllgather};
 
-/// Run one candidate schedule for one (kind, size) point; every PE calls
-/// this with identical arguments (SPMD).
-void run_candidate(CollKind kind, const TuneCandidate& cand,
-                   const HierShape& shape, std::size_t nelems,
+/// Run one candidate schedule for one (kind, size) point through the same
+/// family switch dispatch uses, without its accounting; every PE calls this
+/// with identical arguments (SPMD).
+void run_candidate(CollKind kind, const CollDecision& d, std::size_t nelems,
                    std::size_t per, long* dest, long* src) {
   Communicator& world = world_comm();
-  const std::size_t seg = detail::ring_segments_hint(nelems, cand.chunk);
-  switch (cand.algo) {
-    case CollAlgo::kRing:
-      switch (kind) {
-        case CollKind::kBroadcast:
-          ring_broadcast(dest, src, nelems, 1, 0, world, seg);
-          break;
-        case CollKind::kReduce:
-          ring_reduce<OpSum>(dest, src, nelems, 1, 0, world, seg);
-          break;
-        case CollKind::kAllreduce:
-          ring_allreduce<OpSum>(dest, src, nelems, 1, world);
-          break;
-        case CollKind::kAllgather:
-          ring_allgather(dest, src, per, world);
-          break;
-      }
+  constexpr SchedMode kMode = SchedMode::kBlocking;
+  switch (kind) {
+    case CollKind::kBroadcast:
+      detail::run_broadcast(d, kMode, dest, src, nelems, 1, 0, world);
       break;
-    case CollAlgo::kHier:
-      switch (kind) {
-        case CollKind::kBroadcast:
-          hier_broadcast(dest, src, nelems, 1, 0, shape);
-          break;
-        case CollKind::kReduce:
-          hier_reduce<OpSum>(dest, src, nelems, 1, 0, shape);
-          break;
-        case CollKind::kAllreduce:
-          hier_reduce_all<OpSum>(dest, src, nelems, 1, shape);
-          break;
-        case CollKind::kAllgather:
-          hier_fcollect(dest, src, per, shape);
-          break;
-      }
+    case CollKind::kReduce:
+      detail::run_reduce<OpSum>(d, kMode, dest, src, nelems, 1, 0, world);
       break;
-    default:  // tree: the flat k-nomial schedules
-      switch (kind) {
-        case CollKind::kBroadcast:
-          detail::knomial_broadcast(dest, src, nelems, 1, 0, cand.radix,
-                                    world);
-          break;
-        case CollKind::kReduce:
-          detail::knomial_reduce<OpSum>(dest, src, nelems, 1, 0, cand.radix,
-                                        world);
-          break;
-        case CollKind::kAllreduce:
-          detail::knomial_reduce<OpSum>(dest, src, nelems, 1, 0, cand.radix,
-                                        world);
-          detail::knomial_broadcast(dest, dest, nelems, 1, 0, cand.radix,
-                                    world);
-          break;
-        case CollKind::kAllgather: {
-          const int me = xbrtime_mype();
-          if (per > 0) {
-            xbr_put(dest + static_cast<std::size_t>(me) * per, src, per, 1,
-                    me);
-          }
-          detail::knomial_gather_blocks(dest, per, /*start=*/0, /*sub=*/1,
-                                        cand.radix, world);
-          detail::knomial_broadcast(dest, dest,
-                                    per * static_cast<std::size_t>(
-                                              xbrtime_num_pes()),
-                                    1, 0, cand.radix, world);
-          break;
-        }
-      }
+    case CollKind::kAllreduce:
+      detail::run_reduce_all<OpSum>(d, kMode, dest, src, nelems, 1, world);
+      break;
+    case CollKind::kAllgather:
+      detail::run_fcollect(d, kMode, dest, src, per, world);
       break;
   }
 }
@@ -116,8 +64,6 @@ TuneTable build_tune_table(const MachineConfig& base,
                            const std::vector<TuneCandidate>& candidates,
                            std::vector<TuneMeasurement>* measurements) {
   const auto n = static_cast<std::size_t>(base.n_pes);
-  const CollectivePolicy probe(base, CollAlgo::kTree);
-  const std::vector<int> groups = probe.hier_groups(base.n_pes);
 
   // Normalized points: allgather is keyed on the total concatenation.
   struct Point {
@@ -145,9 +91,15 @@ TuneTable build_tune_table(const MachineConfig& base,
 
   for (std::size_t c = 0; c < candidates.size(); ++c) {
     const TuneCandidate& cand = candidates[c];
+    // Dispatch is bypassed: the candidate's decision runs directly. The
+    // hier family still reads its level stack from the machine's policy,
+    // so keep that policy free of any loaded tune table.
     MachineConfig config = base;
-    config.coll_algo = "tree";  // dispatch is bypassed: schedules run direct
+    config.coll_algo = "tree";
+    config.coll_tune_table.clear();
     Machine machine(config);
+    const CollDecision d{
+        .algo = cand.algo, .radix = cand.radix, .chunk = cand.chunk};
     std::vector<std::uint64_t>& row = cycles[c];
     machine.run([&](PeContext& pe) {
       xbrtime_init();
@@ -158,14 +110,13 @@ TuneTable build_tune_table(const MachineConfig& base,
       for (std::size_t i = 0; i < max_elems; ++i) {
         src[i] = static_cast<long>(i + 1);
       }
-      const HierShape shape{groups, cand.radix, cand.chunk};
       for (std::size_t p = 0; p < points.size(); ++p) {
         const Point& pt = points[p];
         // Warm once (forwarding sets, staging high-water), then measure.
-        run_candidate(pt.kind, cand, shape, pt.nelems, pt.per, dest, src);
+        run_candidate(pt.kind, d, pt.nelems, pt.per, dest, src);
         xbrtime_barrier();
         const std::uint64_t t0 = pe.clock().cycles();
-        run_candidate(pt.kind, cand, shape, pt.nelems, pt.per, dest, src);
+        run_candidate(pt.kind, d, pt.nelems, pt.per, dest, src);
         xbrtime_barrier();  // clocks meet: rank-0 delta is the makespan
         const std::uint64_t t1 = pe.clock().cycles();
         if (pe.rank() == 0) row[p] = t1 - t0;

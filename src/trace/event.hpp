@@ -25,8 +25,10 @@ enum class EventKind : std::uint8_t {
   // b = modeled exchange rounds.
   kBarrierEnter,
   kBarrierExit,
-  // Binomial-tree collective stage (paper §4.3-§4.6, Algorithms 1-4).
-  // a = 0-based stage index, b = current tree mask.
+  // Tree collective stage (paper §4.3-§4.6, Algorithms 1-4).
+  // a = 0-based stage index; b = k-nomial radix for the k-nomial executor
+  // (broadcast, reduce, block gather), current tree mask for scatter and
+  // gather.
   kStageBegin,
   kStageEnd,
   // OLB translation outcome (paper §3.2). a = object ID.

@@ -132,7 +132,7 @@ TEST(AgreeTest, TimeoutNamesTheMissingRank) {
   // must end in AgreementTimeoutError naming rank 1 — a diagnosis, not a
   // hang.
   FaultConfig fc;
-  fc.barrier_timeout_ms = 200;
+  fc.agree_timeout_ms = 200;  // the agreement's own watchdog, not the barrier's
   Machine machine(config(2, fc));
   try {
     machine.run([&](PeContext& pe) {
@@ -144,8 +144,9 @@ TEST(AgreeTest, TimeoutNamesTheMissingRank) {
     ASSERT_FALSE(e.failures().empty());
     const PeFailure& primary = e.failures().front();
     EXPECT_EQ(primary.rank, 0);
-    EXPECT_NE(primary.what.find("agreement"), std::string::npos);
-    EXPECT_NE(primary.what.find("1"), std::string::npos);
+    EXPECT_NE(primary.what.find("xbr_agree timed out"), std::string::npos);
+    EXPECT_NE(primary.what.find("from ranks [1]"), std::string::npos)
+        << primary.what;
   }
 }
 

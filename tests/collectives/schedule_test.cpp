@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <tuple>
 #include <vector>
+
+#include "common/bits.hpp"
 
 namespace xbgas {
 namespace {
@@ -118,11 +121,75 @@ TEST(KnomialScheduleTest, StageCountIsCeilLogRadix) {
   EXPECT_EQ(knomial_stages(64, 8), 2);
 }
 
+// The paper's edges, straight from the mask recurrences of Algorithms 1-2
+// (an independent reference: the library no longer runs these loops).
+std::vector<TreeEdge> paper_broadcast_edges(int n) {
+  std::vector<TreeEdge> edges;
+  const auto levels =
+      static_cast<int>(ceil_log2(static_cast<std::uint64_t>(n)));
+  unsigned mask = (1u << levels) - 1u;
+  int stage = 0;
+  for (int i = levels - 1; i >= 0; --i, ++stage) {
+    mask ^= (1u << i);
+    for (unsigned vr = 0; vr < static_cast<unsigned>(n); ++vr) {
+      if ((vr & mask) != 0 || (vr & (1u << i)) != 0) continue;
+      const int vpart = static_cast<int>(vr ^ (1u << i)) % n;
+      if (static_cast<int>(vr) < vpart) {
+        edges.push_back(TreeEdge{stage, static_cast<int>(vr), vpart});
+      }
+    }
+  }
+  return edges;
+}
+
+std::vector<TreeEdge> paper_reduce_edges(int n) {
+  std::vector<TreeEdge> edges;
+  const auto levels =
+      static_cast<int>(ceil_log2(static_cast<std::uint64_t>(n)));
+  unsigned mask = (1u << levels) - 1u;
+  for (int i = 0; i < levels; ++i) {
+    mask ^= (1u << i);
+    for (unsigned vr = 0; vr < static_cast<unsigned>(n); ++vr) {
+      if ((vr | mask) != mask || (vr & (1u << i)) != 0) continue;
+      const int vpart = static_cast<int>(vr ^ (1u << i)) % n;
+      if (static_cast<int>(vr) < vpart) {
+        edges.push_back(TreeEdge{i, vpart, static_cast<int>(vr)});
+      }
+    }
+  }
+  return edges;
+}
+
 TEST(KnomialScheduleTest, RadixTwoReproducesBinomialEdgeForEdge) {
-  for (int n = 1; n <= 33; ++n) {
-    EXPECT_EQ(knomial_broadcast_schedule(n, 2), broadcast_schedule(n))
-        << "n=" << n;
-    EXPECT_EQ(knomial_reduce_schedule(n, 2), reduce_schedule(n)) << "n=" << n;
+  for (int n = 1; n <= 64; ++n) {
+    const auto bcast = paper_broadcast_edges(n);
+    const auto reduce = paper_reduce_edges(n);
+    EXPECT_EQ(knomial_broadcast_schedule(n, 2), bcast) << "n=" << n;
+    EXPECT_EQ(broadcast_schedule(n), bcast) << "n=" << n;
+    EXPECT_EQ(knomial_reduce_schedule(n, 2), reduce) << "n=" << n;
+    EXPECT_EQ(reduce_schedule(n), reduce) << "n=" << n;
+  }
+}
+
+TEST(KnomialScheduleTest, PerPeEdgesAreTheFullScheduleFiltered) {
+  for (const int radix : {2, 3, 4, 8}) {
+    for (int n = 1; n <= 64; ++n) {
+      const auto bcast = knomial_broadcast_schedule(n, radix);
+      const auto reduce = knomial_reduce_schedule(n, radix);
+      for (int vr = 0; vr < n; ++vr) {
+        std::vector<TreeEdge> sends, pulls;
+        for (const auto& e : bcast) {
+          if (e.from_vrank == vr) sends.push_back(e);
+        }
+        for (const auto& e : reduce) {
+          if (e.to_vrank == vr) pulls.push_back(e);
+        }
+        EXPECT_EQ(detail::knomial_broadcast_sends(n, radix, vr), sends)
+            << "n=" << n << " radix=" << radix << " vrank=" << vr;
+        EXPECT_EQ(detail::knomial_reduce_pulls(n, radix, vr), pulls)
+            << "n=" << n << " radix=" << radix << " vrank=" << vr;
+      }
+    }
   }
 }
 

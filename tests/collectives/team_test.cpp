@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <vector>
 
 #include "collectives/collectives.hpp"
 #include "collectives/composed.hpp"
 #include "common/error.hpp"
+#include "machine/fiber.hpp"
 #include "helpers.hpp"
 
 namespace xbgas {
@@ -168,6 +170,35 @@ TEST(TeamTest, SequentialTeamsReuseCleanly) {
       (void)pe;
     }
   });
+}
+
+TEST(TeamRegistryTest, KeyChurnNeverSplitsATeam) {
+  // Four pairs of PEs each found and drop their own Team key back to back,
+  // on 4 workers with injected yields. Each round the two members hold the
+  // team until both have arrived, then drop it together, so often both
+  // drop before either founds the next round's team. The last one out then
+  // runs the barrier's deleter while its partner founds the next round's
+  // barrier under the same key. The deleter must not evict that new entry:
+  // if it did, the last one out would found a third barrier, the pair would
+  // wait on different barriers, and the watchdog would end the run with a
+  // BarrierTimeoutError.
+  MachineConfig config = testing::test_config(8);
+  config.sched.workers = 4;
+  config.sched.yield_inject_prob = 0.1;
+  config.sched.yield_inject_seed = 11;
+  config.fault.barrier_timeout_ms = 10'000;
+  Machine machine(config);
+  std::atomic<int> held[4] = {};
+  EXPECT_NO_THROW(machine.run([&](PeContext& pe) {
+    xbrtime_init();
+    const int pair = pe.rank() / 2;
+    for (int round = 0; round < 2000; ++round) {
+      Team team(2 * pair, 1, 2);
+      held[pair].fetch_add(1);
+      while (held[pair].load() < 2 * (round + 1)) FiberScheduler::yield();
+    }
+    xbrtime_close();
+  }));
 }
 
 }  // namespace

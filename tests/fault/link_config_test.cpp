@@ -12,6 +12,7 @@
 
 #include "fault/config.hpp"
 #include "fault/errors.hpp"
+#include "support/modeled_counters.hpp"
 #include "trace/collect.hpp"
 #include "xbrtime/rma.hpp"
 #include "xbrtime/runtime.hpp"
@@ -172,7 +173,7 @@ std::string run_amo_kill(KillSite site) {
   EXPECT_EQ(machine.failed_ranks(), std::vector<int>{1});
   const CounterRegistry counters = collect_counters(machine);
   EXPECT_EQ(counters.get("fault.injected.kills").value(), 1u);
-  return counters.json();
+  return testing::modeled_counters(machine).json();
 }
 
 TEST(AmoKillSiteTest, KthAmoIssueKillsTheVictim) {

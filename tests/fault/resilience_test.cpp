@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "collectives/collectives.hpp"
+#include "support/modeled_counters.hpp"
 #include "trace/collect.hpp"
 #include "xbrtime/rma.hpp"
 
@@ -103,7 +104,7 @@ TEST(ResilienceTest, IdenticalSeedsReplayIdentically) {
     machine.run([&](PeContext& pe) { pingpong_body(pe, &ok); });
     EXPECT_TRUE(ok);
     *cycles = machine.max_cycles();
-    return collect_counters(machine).json();
+    return testing::modeled_counters(machine).json();
   };
   std::uint64_t cycles_a = 0;
   std::uint64_t cycles_b = 0;
