@@ -4,7 +4,7 @@
 // modeled dissemination / central / tournament barriers, standalone and
 // under a broadcast-heavy loop.
 //
-//   bench_ablation_barrier [--pes 2,4,8,16] [--reps 100]
+//   bench_ablation_barrier [--pes 2,4,8,16] [--reps 100] [--json PATH]
 
 #include <cstdio>
 #include <vector>
@@ -83,5 +83,9 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("(central serializes at the root and falls behind as PE count "
               "grows; every tree stage pays this cost once)\n");
+  if (args.has("json")) {
+    xbgas::write_tables_json(args.get("json", ""), "ablation_barrier",
+                             {{"cycles", &table}});
+  }
   return 0;
 }

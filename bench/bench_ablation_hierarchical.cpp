@@ -8,7 +8,7 @@
 // crosses boundaries at several stages.
 //
 //   bench_ablation_hierarchical [--pes 8] [--group 4] [--remote-hops 40]
-//                               [--elems 256]
+//                               [--elems 256] [--json PATH]
 
 #include <cstdio>
 #include <vector>
@@ -82,5 +82,9 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("(speedup > 1: the two-level scheme wins; node-aligned roots "
               "are where the flat tree is already implicitly hierarchical)\n");
+  if (args.has("json")) {
+    xbgas::write_tables_json(args.get("json", ""), "ablation_hierarchical",
+                             {{"cycles", &table}});
+  }
   return 0;
 }

@@ -9,7 +9,7 @@
 //    large ones by keeping every link busy with segments.
 //
 //   bench_ablation_largemsg [--pes 8] [--sizes 16,256,4096,65536]
-//                           [--segments 0 (heuristic)]
+//                           [--segments 0 (heuristic)] [--json PATH]
 
 #include <cstdio>
 #include <vector>
@@ -105,5 +105,9 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("(ring/tree < 1 marks where pipelining wins; the crossover is "
               "the §7 motivation for size-adaptive algorithm selection)\n");
+  if (args.has("json")) {
+    xbgas::write_tables_json(args.get("json", ""), "ablation_largemsg",
+                             {{"cycles", &table}});
+  }
   return 0;
 }

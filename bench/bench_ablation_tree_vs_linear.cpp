@@ -3,6 +3,7 @@
 // there is "no universally optimal solution").
 //
 //   bench_ablation_tree_vs_linear [--pes 2,4,8,12,16] [--sizes 1,16,256,4096]
+//                                 [--json PATH]
 //
 // Reports modeled cycles per operation. Two regimes (the paper's §4.1
 // point that no algorithm wins everywhere):
@@ -111,5 +112,9 @@ int main(int argc, char** argv) {
     }
   }
   table.print();
+  if (args.has("json")) {
+    xbgas::write_tables_json(args.get("json", ""), "ablation_tree_vs_linear",
+                             {{"cycles", &table}});
+  }
   return 0;
 }

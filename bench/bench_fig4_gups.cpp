@@ -2,7 +2,7 @@
 // 1/2/4/8 PEs, with verification enabled as in the paper (§5.2-§5.3).
 //
 //   bench_fig4_gups [--stats] [--pes 1,2,4,8] [--log2-table 21] [--updates N (0 = 4 x table/PEs)]
-//                   [--no-verify] [--topology flat] ...
+//                   [--no-verify] [--topology flat] [--json PATH] ...
 //
 // Expected shape (paper Figure 4): total MOPS scales ~linearly to 4 PEs;
 // per-PE MOPS peaks at 2 PEs and dips at 8 PEs as the shared fabric
@@ -61,5 +61,9 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("(series: \"Total\" and \"Per PE\" correspond to the two bars "
               "of paper Figure 4)\n");
+  if (args.has("json")) {
+    xbgas::write_tables_json(args.get("json", ""), "fig4_gups",
+                             {{"gups", &table}});
+  }
   return 0;
 }

@@ -2,6 +2,7 @@
 // MOPS) at 1/2/4/8 PEs (§5.2-§5.3).
 //
 //   bench_fig5_is [--stats] [--pes 1,2,4,8] [--class S|W|A|B] [--iterations 10]
+//                 [--json PATH]
 //
 // The paper runs class B; the default here is class W so the sweep finishes
 // in seconds — pass --class B for the paper's size. Expected shape: total
@@ -67,5 +68,10 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("(series: \"Total\" and \"Per PE\" correspond to the two bars "
               "of paper Figure 5)\n");
+  if (args.has("json")) {
+    xbgas::write_tables_json(
+        args.get("json", ""), "fig5_is",
+        {{std::string("class_") + xbgas::is_class_name(config.cls), &table}});
+  }
   return 0;
 }

@@ -7,7 +7,7 @@
 //
 //   bench_scaling [--pes 16,64,256,1024] [--barrier-reps 64]
 //                 [--allreduce-reps 8] [--nelems 256] [--json PATH]
-//                 [--sched fibers|threads] [--sched-workers N]
+//                 [--sched-workers N]
 //
 // Segments default to slim (1 MiB shared / 64 KiB private per PE) so the
 // 1024-PE point fits in ~1 GiB; --shared-mb/--private-mb override.

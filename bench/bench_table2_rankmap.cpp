@@ -1,6 +1,8 @@
 // Table 2 reproduction: logical-to-virtual rank mapping. Defaults to the
 // paper's worked example (7 PEs, root 4); --pes and --root print any other
 // configuration.
+//
+//   bench_table2_rankmap [--pes 7] [--root 4] [--json PATH]
 
 #include <cstdio>
 
@@ -24,5 +26,9 @@ int main(int argc, char** argv) {
              static_cast<long long>(xbgas::virtual_rank(lr, root, n)))});
   }
   table.print();
+  if (args.has("json")) {
+    xbgas::write_tables_json(args.get("json", ""), "table2_rankmap",
+                             {{"rankmap", &table}});
+  }
   return 0;
 }

@@ -46,6 +46,13 @@
 #      nbi/write-combining, recovery, serving, scaling, partition/
 #      unreachable, and the collectives conformance sweep (blocking and
 #      nbi axes)
+#  17. paper-results gate (EXPERIMENTS.md): scripts/bench_paper.sh
+#      regenerates Fig. 3's edges, Tables 1-2, Fig. 4, Fig. 5 class W and the
+#      A1/A4/A6/A7 cycle counts; every value is modeled, so the result must
+#      match the committed BENCH_paper.json byte for byte
+#  18. contended rendezvous: the team, shrink, hierarchy, barrier,
+#      scheduler and partition suites repeated 5x, first pinned to one CPU,
+#      then beside one CPU-burning loop per core
 #
 # Usage: scripts/check.sh [build-dir]   (default: build; the ASan and TSan
 # stages use <build-dir>-asan and <build-dir>-tsan)
@@ -54,21 +61,21 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 
-echo "== [1/16] tier-1 verify (configure + build + full ctest, -Werror on) =="
+echo "== [1/18] tier-1 verify (configure + build + full ctest, -Werror on) =="
 cmake -B "$BUILD" -S . -DXBGAS_WERROR=ON
 cmake --build "$BUILD" -j
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 
-echo "== [2/16] fast path: unit label only (ctest -L unit) =="
+echo "== [2/18] fast path: unit label only (ctest -L unit) =="
 ctest --test-dir "$BUILD" -L unit --output-on-failure -j "$(nproc)"
 
-echo "== [3/16] observability suite (ctest -R trace) =="
+echo "== [3/18] observability suite (ctest -R trace) =="
 ctest --test-dir "$BUILD" -R trace --output-on-failure
 
-echo "== [4/16] disabled-path overhead guard =="
+echo "== [4/18] disabled-path overhead guard =="
 "$BUILD"/tests/trace/trace_overhead_test
 
-echo "== [5/16] trace + counters smoke (bench_pt2pt) =="
+echo "== [5/18] trace + counters smoke (bench_pt2pt) =="
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 "$BUILD"/bench/bench_pt2pt --trace-out="$TMP/t.json" --counters=json \
@@ -87,7 +94,7 @@ print(f"smoke OK: {len(trace['traceEvents'])} trace events, "
       f"{len(tracks)} PE tracks, {counters['net.messages']} remote RMAs")
 EOF
 
-echo "== [6/16] fault-injection smoke (bench_pt2pt, docs/RESILIENCE.md) =="
+echo "== [6/18] fault-injection smoke (bench_pt2pt, docs/RESILIENCE.md) =="
 "$BUILD"/bench/bench_pt2pt --fault-rma-drop=0.01 --fault-seed=7 \
     --counters=json > "$TMP/fault1.txt"
 "$BUILD"/bench/bench_pt2pt --fault-rma-drop=0.01 --fault-seed=7 \
@@ -107,7 +114,7 @@ print(f"fault smoke OK: {counters['fault.injected.rma_drop']} drops "
       f"absorbed by {counters['rma.retries']} retries, deterministic replay")
 EOF
 
-echo "== [7/16] collective-policy smoke (docs/COLLECTIVES.md) =="
+echo "== [7/18] collective-policy smoke (docs/COLLECTIVES.md) =="
 "$BUILD"/bench/bench_policy_crossover --pes 8 --sizes 16,4096 --reps 1 \
     --json "$TMP/cross.json" > /dev/null
 python3 - "$TMP" <<'EOF'
@@ -124,7 +131,7 @@ print("policy smoke OK: auto flips tree->ring across the crossover and "
       "tracks the faster family")
 EOF
 
-echo "== [8/16] hierarchy + tuner gauntlet (docs/COLLECTIVES.md) =="
+echo "== [8/18] hierarchy + tuner gauntlet (docs/COLLECTIVES.md) =="
 # The engine/tuner test wall: k-nomial schedules, the depth x radix x PE
 # conformance axis (each case under XbrSan full internally), the tuner
 # round-trip, the golden modeled cost of every family through the one
@@ -178,7 +185,7 @@ for m in machines:
 print("committed BENCH_osu.json OK")
 EOF
 
-echo "== [9/16] XbrSan smoke (docs/SANITIZER.md) =="
+echo "== [9/18] XbrSan smoke (docs/SANITIZER.md) =="
 # Positive: a real workload under full checking finishes with 0 violations.
 "$BUILD"/bench/bench_pt2pt --xbrsan=full --counters=json > "$TMP/san.txt"
 python3 - "$TMP" <<'EOF'
@@ -200,14 +207,14 @@ EOF
 grep -q 'XbrSan\[out_of_bounds\]' "$TMP/san_neg.txt"
 echo "xbrsan negative smoke OK: planted bug detected"
 
-echo "== [10/16] survivor-recovery chaos smoke (bench_chaos) =="
+echo "== [10/18] survivor-recovery chaos smoke (bench_chaos) =="
 # Scripted: the acceptance kill plan (mid-barrier + mid-RMA on 12 PEs).
 "$BUILD"/bench/bench_chaos --pes 12 --rounds 4 \
     --fault-kill 3:barrier:11,7:rma:4
 # Soak: seeded-random kill plans; every seed must recover and verify.
 "$BUILD"/bench/bench_chaos --pes 10 --seeds 8 --rounds 4
 
-echo "== [11/16] serving chaos smoke (bench_serving, docs/SERVING.md) =="
+echo "== [11/18] serving chaos smoke (bench_serving, docs/SERVING.md) =="
 # Scripted: one mid-RMA kill under default transport faults on 12 PEs.
 "$BUILD"/bench/bench_serving --pes 12 --batches 12 --ops-per-batch 32 \
     --fault-kill 5:rma:40
@@ -218,7 +225,7 @@ echo "== [11/16] serving chaos smoke (bench_serving, docs/SERVING.md) =="
 "$BUILD"/bench/bench_serving --pes 10 --batches 12 --ops-per-batch 32 \
     --seeds 4
 
-echo "== [12/16] partition-tolerance smoke (bench_partition, docs/RESILIENCE.md) =="
+echo "== [12/18] partition-tolerance smoke (bench_partition, docs/RESILIENCE.md) =="
 # The both-sides quorum proof and the fail-fast conformance axis: the 64-PE
 # scripted split (majority shrinks + verifies, minority unwinds typed), the
 # unreachable-peer escalation suite, and every blocking op terminating
@@ -251,7 +258,7 @@ print(f"committed BENCH_partition.json OK: {len(data['runs'])} seeded splits, "
       f"every eviction by quorum, bit-identical replays")
 EOF
 
-echo "== [13/16] nbi + write-combining smoke (bench_gups, docs/COLLECTIVES.md) =="
+echo "== [13/18] nbi + write-combining smoke (bench_gups, docs/COLLECTIVES.md) =="
 # The explicit-handle test wall in the main build: request-RMA semantics,
 # the write combiner, the three new XbrSan epochs (negative + positive),
 # the hedged-nbi failover ledger, and the nbi conformance axis — each
@@ -279,7 +286,7 @@ print(f"nbi smoke OK: coalescing {g['speedup']}x over {g['combiner']['flushes']}
       f"flushes, pipelined allreduce {ar['speedup']}x at {ar['n_pes']} PEs")
 EOF
 
-echo "== [14/16] scaling smoke (docs/SCALING.md) =="
+echo "== [14/18] scaling smoke (docs/SCALING.md) =="
 # 256-PE conformance/recovery/chaos cases ride the integration suite; the
 # 1024-PE smoke is its own slow-labeled binary.
 ctest --test-dir "$BUILD" -R 'Scaling' --output-on-failure
@@ -300,18 +307,45 @@ print(f"scaling smoke OK: barrier {points[16]['barrier_cycles']} -> "
       f"{points[1024]['workers']} worker(s)")
 EOF
 
-echo "== [15/16] ASan+UBSan pass (full test suite) =="
+echo "== [15/18] ASan+UBSan pass (full test suite) =="
 cmake -B "$BUILD-asan" -S . -DXBGAS_SANITIZE=address -DXBGAS_WERROR=ON \
     -DXBGAS_BUILD_BENCH=OFF -DXBGAS_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD-asan" -j
 ctest --test-dir "$BUILD-asan" --output-on-failure -j "$(nproc)"
 
-echo "== [16/16] TSan pass (machine + sched + trace + fault + san + nbi + recovery + serving + conformance + scaling) =="
+echo "== [16/18] TSan pass (machine + sched + trace + fault + san + nbi + recovery + serving + conformance + scaling) =="
 cmake -B "$BUILD-tsan" -S . -DXBGAS_SANITIZE=thread -DXBGAS_WERROR=ON \
     -DXBGAS_BUILD_BENCH=OFF -DXBGAS_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD-tsan" -j
 ctest --test-dir "$BUILD-tsan" \
-    -R '(machine|Machine|Barrier|Sched|trace|fault|San|Nonblocking|Nbi|WriteCombiner|Conformance|Hierarch|Knomial|Tuner|DispatchGolden|TeamRegistry|Agree|Shrink|Checkpoint|Recovery|recovery|Serving|serving|Zipf|Scaling|Partition|Unreachable|LinkFaults)' \
+    -R '(machine|Machine|Barrier|Sched|trace|fault|San|Nonblocking|Nbi|WriteCombiner|Conformance|Hierarch|Knomial|Tuner|DispatchGolden|Team|Agree|Shrink|Checkpoint|Recovery|recovery|Serving|serving|Zipf|Scaling|Partition|Unreachable|LinkFaults)' \
     --output-on-failure -j "$(nproc)"
+
+echo "== [17/18] paper-results gate (BENCH_paper.json, EXPERIMENTS.md) =="
+scripts/bench_paper.sh "$BUILD" "$TMP/paper.json" > /dev/null
+diff -u BENCH_paper.json "$TMP/paper.json"
+echo "paper gate OK: BENCH_paper.json reproduces byte for byte"
+
+echo "== [18/18] contended rendezvous (one CPU, then CPU burners) =="
+# Every team, shrink, hierarchy, barrier, scheduler and partition test, five
+# times over, under the host load that once split a team across two
+# registry entries: first with every test pinned to CPU 0, then beside one
+# busy loop per core.
+RENDEZVOUS='Team|Shrink|Hierarch|Barrier|Sched|PartitionQuorum'
+taskset -c 0 ctest --test-dir "$BUILD" -R "$RENDEZVOUS" \
+    --repeat until-fail:5 --output-on-failure -j "$(nproc)"
+BURNERS=()
+stop_burners() {
+  if ((${#BURNERS[@]})); then kill "${BURNERS[@]}" 2>/dev/null || true; fi
+  BURNERS=()
+}
+trap 'stop_burners; rm -rf "$TMP"' EXIT
+for _ in $(seq "$(nproc)"); do
+  (while :; do :; done) &
+  BURNERS+=("$!")
+done
+ctest --test-dir "$BUILD" -R "$RENDEZVOUS" \
+    --repeat until-fail:5 --output-on-failure -j "$(nproc)"
+stop_burners
 
 echo "== all checks passed =="

@@ -189,10 +189,6 @@ MachineConfig machine_config_from_cli(const CliArgs& args, int n_pes) {
   }
   config.coll_radix = static_cast<int>(radix);
 
-  config.sched.mode = args.get("sched", "fibers");
-  if (config.sched.mode != "fibers" && config.sched.mode != "threads") {
-    throw Error("--sched must be fibers or threads, got " + config.sched.mode);
-  }
   const std::int64_t workers = args.get_int("sched-workers", 0);
   if (workers < 0) {
     throw Error("--sched-workers must be >= 0 (0 = hardware concurrency)");

@@ -48,10 +48,8 @@ namespace xbgas {
 ///                              PE's live symmetric allocations; full: bounds
 ///                              plus epoch-based RMA conflict detection
 ///
-/// PE execution model (docs/SCALING.md):
-///   --sched fibers|threads     N:M fiber scheduling (default) or legacy
-///                              one std::thread per PE
-///   --sched-workers N          fiber-mode worker threads
+/// PE fiber scheduler (docs/SCALING.md):
+///   --sched-workers N          worker threads
 ///                              (default 0 = min(hw concurrency, n_pes))
 ///   --sched-stack-kb N         stack KiB per PE fiber (default 512)
 ///   --sched-yield-inject P     P(extra yield) per cooperative poll point

@@ -54,4 +54,51 @@ std::string AsciiTable::render() const {
 
 void AsciiTable::print() const { std::fputs(render().c_str(), stdout); }
 
+namespace {
+
+std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + "\"";
+}
+
+std::string json_row(const std::vector<std::string>& cells) {
+  std::string out = "[";
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    if (c != 0) out += ", ";
+    out += json_string(cells[c]);
+  }
+  return out + "]";
+}
+
+}  // namespace
+
+std::string AsciiTable::render_json() const {
+  std::string out = "{\"headers\": " + json_row(headers_) + ", \"rows\": [";
+  for (std::size_t r = 0; r < rows_.size(); ++r) {
+    out += r == 0 ? "\n" : ",\n";
+    out += "      " + json_row(rows_[r]);
+  }
+  return out + "]}";
+}
+
+void write_tables_json(
+    const std::string& path, const std::string& bench,
+    const std::vector<std::pair<std::string, const AsciiTable*>>& tables) {
+  std::string json = "{\"bench\": " + json_string(bench) + ", \"tables\": {";
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    json += i == 0 ? "\n" : ",\n";
+    json += "  " + json_string(tables[i].first) + ": " +
+            tables[i].second->render_json();
+  }
+  json += "}}\n";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) throw Error("cannot write " + path);
+  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
+  if (std::fclose(f) != 0 || !ok) throw Error("cannot write " + path);
+}
+
 }  // namespace xbgas

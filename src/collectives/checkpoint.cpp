@@ -97,11 +97,15 @@ RestoreReport xbr_restore(Communicator& comm) {
     }
   }
 
-  // (2) Orphans: failed ranks with a snapshot that are not on this team.
-  // Deterministic deal: orphan i (ascending rank) -> team rank i % n. Every
-  // member computes the same mapping from the same roster — no exchange.
+  // (2) Orphans: ranks an agreement excluded (dead or partitioned away)
+  // that are not on this team and left a snapshot. The set comes from the
+  // agreements' decisions, not from the live failure view: a partitioned
+  // rank joins failed_ranks() only when its fiber finishes unwinding, which
+  // host scheduling decides. Deterministic deal: orphan i (ascending rank)
+  // -> team rank i % n. Every member computes the same mapping from the
+  // same roster — no exchange.
   std::vector<int> orphan_ranks;
-  for (const int r : machine.recovery().failed_ranks()) {
+  for (const int r : machine.recovery().excluded_ranks()) {
     bool member = false;
     for (int t = 0; t < comm.n_pes(); ++t) {
       if (comm.world_rank(t) == r) {

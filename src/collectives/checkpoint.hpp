@@ -11,8 +11,9 @@
 //
 // xbr_restore, typically run on a shrunken team after a death, does two
 // things: (1) every member restores its own latest snapshot in place, and
-// (2) the snapshots of *orphans* — failed ranks that checkpointed but are
-// not on the team — are re-sharded deterministically across the survivors
+// (2) the snapshots of *orphans* — ranks an agreement excluded (dead or
+// partitioned away) that checkpointed but are not on the team — are
+// re-sharded deterministically across the survivors
 // (orphan i, ascending by rank, lands on team rank i % n) and handed back in
 // the RestoreReport so the application can fold the lost ranks' data into
 // its own structures. The assignment is pure arithmetic over the roster, so

@@ -7,76 +7,45 @@
 // PeFailedError. Instead of letting the region fail, a survivor catches the
 // error and calls xbr_team_shrink(parent): an xbr_agree over the parent's
 // members produces the survivor roster, and every survivor constructs the
-// same SurvivorTeam — a Communicator over exactly the live ranks, with its
-// own rendezvous barrier born *clean* (the agreement acknowledged the death,
-// so Machine::register_barrier no longer birth-poisons). Collectives,
-// policy dispatch, and checkpoint/restore all run unchanged over the new
-// team. If another PE dies while the team is being established, the
-// constructor's rendezvous throws PeFailedError and xbr_team_shrink loops:
-// it re-agrees over the smaller set until a team stands.
+// same Team(roster, epoch) — a Communicator over exactly the live ranks,
+// whose rendezvous barrier (Machine::team_barrier) is born *clean* (the
+// agreement acknowledged the death, so Machine::register_barrier no longer
+// birth-poisons). Collectives, policy dispatch, and checkpoint/restore all
+// run unchanged over the new team. If another PE dies while the team is
+// being established, the constructor's rendezvous throws PeFailedError and
+// xbr_team_shrink loops: it re-agrees over the smaller set until a team
+// stands.
 //
 // xbr_team_revoke poisons a team's barrier with a generic "revoked" cause —
 // the ULFM MPI_Comm_revoke analogue: current and future waiters throw plain
 // Error (not PeFailedError), so revocation is never mistaken for a death.
 
-#include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "collectives/comm.hpp"
-#include "machine/barrier.hpp"
+#include "collectives/team.hpp"
 
 namespace xbgas {
 
-class Machine;
-
-/// Communicator over the survivor roster an agreement produced. Members are
-/// arbitrary (not strided) world ranks; team rank r is the r-th smallest
-/// surviving world rank. Construct via xbr_team_shrink.
-class SurvivorTeam final : public Communicator {
- public:
-  /// Collective over `members`: every member constructs with the identical
-  /// (members, epoch) pair — xbr_team_shrink guarantees this by building
-  /// both from the agreement decision. Rendezvouses on a shared barrier.
-  SurvivorTeam(std::vector<int> members, std::uint64_t epoch);
-  ~SurvivorTeam() override;
-
-  SurvivorTeam(const SurvivorTeam&) = delete;
-  SurvivorTeam& operator=(const SurvivorTeam&) = delete;
-
-  int n_pes() const override { return static_cast<int>(members_.size()); }
-  int rank() const override { return my_rank_; }
-  int world_rank(int r) const override;
-  void barrier() override;
-
-  const std::vector<int>& members() const { return members_; }
-  std::uint64_t epoch() const { return epoch_; }
-  bool contains_world_rank(int wr) const;
-
-  /// Poison this team's barrier with a generic "revoked" cause. Any member
-  /// blocked in (or later arriving at) the team barrier throws Error.
-  void revoke();
-
- private:
-  std::vector<int> members_;
-  std::uint64_t epoch_;
-  int my_rank_;
-  Machine* machine_;
-  std::shared_ptr<ClockSyncBarrier> barrier_;
-};
+/// A survivor team is a Team over the roster an agreement produced, in that
+/// agreement's epoch (team.hpp). The alias keeps the recovery API's name.
+using SurvivorTeam = Team;
 
 /// Shrink `parent` to its survivors. Called by every surviving member of
 /// `parent` (typically from a PeFailedError handler); returns the same
-/// SurvivorTeam on each. Resets the survivor's collective staging stack
-/// (interrupted collectives may have left it asymmetric) and retries the
+/// team on each. Before agreeing it discards, unsent, this survivor's
+/// buffered write-combined puts, nonblocking requests and completion
+/// horizon (they may target a dead or cut-off peer, and the new team's
+/// first barrier is a full fence), and resets its collective staging stack
+/// (interrupted collectives may have left it asymmetric). Retries the
 /// agreement if yet another member dies during team establishment.
 std::unique_ptr<SurvivorTeam> xbr_team_shrink(Communicator& parent);
 std::unique_ptr<SurvivorTeam> xbr_team_shrink();
 
 /// Revoke a team: every member waiting on (or later entering) its barrier
 /// throws Error whose message names the revoking rank and says "revoked".
-/// Supported for SurvivorTeam and Team; throws Error for other
-/// communicators (the world barrier cannot be revoked).
+/// Throws Error for any communicator that is not a Team (the world barrier
+/// cannot be revoked).
 void xbr_team_revoke(Communicator& comm);
 
 }  // namespace xbgas

@@ -1,9 +1,7 @@
 #include "collectives/team.hpp"
 
-#include <cstdint>
-#include <map>
-#include <mutex>
-#include <tuple>
+#include <algorithm>
+#include <string>
 
 #include "common/error.hpp"
 #include "xbrtime/nbi.hpp"
@@ -13,111 +11,64 @@ namespace xbgas {
 
 namespace {
 
-// Members of a team construct their Team objects independently (one thread
-// each) but must share one rendezvous barrier. This registry hands every
-// member of the same (machine, start, stride, size) active set the same
-// ClockSyncBarrier; the custom deleter unregisters and evicts it when the
-// last member's Team is destroyed. The machine is keyed by its never-reused
-// instance_id, not its address, which a later Machine may reuse.
-
-using TeamKey = std::tuple<std::uint64_t, int, int, int>;
-
-std::mutex g_registry_mutex;
-std::map<TeamKey, std::weak_ptr<ClockSyncBarrier>> g_registry;
-
-std::shared_ptr<ClockSyncBarrier> acquire_barrier(Machine& machine, int start,
-                                                  int stride, int size) {
-  const TeamKey key{machine.instance_id(), start, stride, size};
-  const std::lock_guard<std::mutex> lock(g_registry_mutex);
-  if (auto it = g_registry.find(key); it != g_registry.end()) {
-    if (auto existing = it->second.lock()) return existing;
-  }
-  const NetCostParams& params = machine.network().params();
-  std::vector<int> member_ranks(static_cast<std::size_t>(size));
+/// The active set { start, start + stride, ..., start + (size-1) * stride }.
+std::vector<int> active_set(int start, int stride, int size) {
+  XBGAS_CHECK(size >= 1, "team size must be >= 1");
+  XBGAS_CHECK(stride >= 1, "team stride must be >= 1");
+  XBGAS_CHECK(start >= 0 && start + (size - 1) * stride < xbrtime_ctx().n_pes(),
+              "team active set exceeds the world");
+  std::vector<int> members(static_cast<std::size_t>(size));
   for (int r = 0; r < size; ++r) {
-    member_ranks[static_cast<std::size_t>(r)] = start + r * stride;
+    members[static_cast<std::size_t>(r)] = start + r * stride;
   }
-  auto* raw = new ClockSyncBarrier(
-      size,
-      [params, size](std::uint64_t max_cycles, int) {
-        // Team barriers do not reconcile the global fabric phase (see
-        // header); they only cost the modeled log2(size) exchange.
-        return max_cycles + params.barrier_cycles(size);
-      },
-      machine.config().fault.barrier_timeout_ms, member_ranks);
-  if (machine.sanitizer().conflicts_enabled()) {
-    // XbrSan epoch join over exactly the member set: a team barrier orders
-    // its members' accesses (vector-clock join), not the whole world's.
-    raw->set_all_arrived_hook([&machine, member_ranks] {
-      machine.sanitizer().on_barrier_all_arrived(member_ranks);
-    });
-  }
-  std::shared_ptr<ClockSyncBarrier> barrier(
-      raw, [key, &machine](ClockSyncBarrier* b) {
-        machine.unregister_barrier(b);
-        {
-          // Between the last release and this lock a member may already
-          // have founded the next barrier under the same key; evict the
-          // entry only while it still points at a dead barrier.
-          const std::lock_guard<std::mutex> inner(g_registry_mutex);
-          if (auto it = g_registry.find(key);
-              it != g_registry.end() && it->second.expired()) {
-            g_registry.erase(it);
-          }
-        }
-        delete b;
-      });
-  machine.register_barrier(barrier.get());
-  g_registry[key] = barrier;
-  return barrier;
+  return members;
 }
 
 }  // namespace
 
 Team::Team(int start, int stride, int size)
-    : start_(start), stride_(stride), size_(size) {
+    : Team(active_set(start, stride, size), 0) {}
+
+Team::Team(std::vector<int> members, std::uint64_t epoch)
+    : members_(std::move(members)), epoch_(epoch) {
   PeContext& ctx = xbrtime_ctx();
   machine_ = &ctx.machine();
-  const int world = machine_->n_pes();
 
-  XBGAS_CHECK(size >= 1, "team size must be >= 1");
-  XBGAS_CHECK(stride >= 1, "team stride must be >= 1");
-  XBGAS_CHECK(start >= 0 && start + (size - 1) * stride < world,
-              "team active set exceeds the world");
-
-  const int wr = ctx.rank();
-  const int rel = wr - start;
-  XBGAS_CHECK(rel >= 0 && rel % stride == 0 && rel / stride < size,
+  XBGAS_CHECK(!members_.empty(), "team must have >= 1 member");
+  XBGAS_CHECK(std::is_sorted(members_.begin(), members_.end()),
+              "team members must be ascending");
+  const auto it =
+      std::lower_bound(members_.begin(), members_.end(), ctx.rank());
+  XBGAS_CHECK(it != members_.end() && *it == ctx.rank(),
               "calling PE is not a member of this team");
-  my_rank_ = rel / stride;
+  my_rank_ = static_cast<int>(it - members_.begin());
 
-  barrier_ = acquire_barrier(*machine_, start, stride, size);
+  barrier_ = machine_->team_barrier(members_, epoch_);
   barrier();  // rendezvous: every member holds the barrier before any use
 }
 
 Team::~Team() = default;
 
 int Team::world_rank(int r) const {
-  XBGAS_CHECK(r >= 0 && r < size_, "team rank out of range");
-  return start_ + r * stride_;
+  XBGAS_CHECK(r >= 0 && r < n_pes(), "team rank out of range");
+  return members_[static_cast<std::size_t>(r)];
 }
 
 bool Team::contains_world_rank(int wr) const {
-  const int rel = wr - start_;
-  return rel >= 0 && rel % stride_ == 0 && rel / stride_ < size_;
+  return std::binary_search(members_.begin(), members_.end(), wr);
 }
 
 void Team::revoke() {
   PeContext& ctx = xbrtime_ctx();
   BarrierPoison info;
-  info.reason = "team (" + std::to_string(start_) + "," +
-                std::to_string(stride_) + "," + std::to_string(size_) +
-                ") revoked by rank " + std::to_string(ctx.rank());
+  info.reason = "team of " + std::to_string(members_.size()) +
+                " (epoch " + std::to_string(epoch_) + ") revoked by rank " +
+                std::to_string(ctx.rank());
   barrier_->poison(info);
   machine_->recovery().counters().revokes.fetch_add(1);
   ctx.trace().record(EventKind::kRecovery, -1,
                      static_cast<std::uint64_t>(RecoveryOp::kRevoke),
-                     static_cast<std::uint64_t>(size_));
+                     members_.size());
 }
 
 void Team::barrier() {

@@ -44,11 +44,8 @@ RecoveryState::RecoveryState(int n_pes)
 
 void RecoveryState::mark_failed(int rank) {
   XBGAS_CHECK(rank >= 0 && rank < n_pes_, "PE rank out of range");
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    failed_[static_cast<std::size_t>(rank)] = 1;
-  }
-  cv_.notify_all();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  failed_[static_cast<std::size_t>(rank)] = 1;
 }
 
 bool RecoveryState::failed(int rank) const {
@@ -88,6 +85,15 @@ bool RecoveryState::acknowledged(int rank) const {
   return failed_[i] != 0 && acknowledged_[i] != 0;
 }
 
+std::vector<int> RecoveryState::excluded_ranks() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<int> out;
+  for (std::size_t r = 0; r < acknowledged_.size(); ++r) {
+    if (acknowledged_[r] != 0) out.push_back(static_cast<int>(r));
+  }
+  return out;
+}
+
 std::uint64_t RecoveryState::epoch() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return epoch_;
@@ -95,33 +101,24 @@ std::uint64_t RecoveryState::epoch() const {
 
 void RecoveryState::note_link_down(int a, int b) {
   if (a > b) std::swap(a, b);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    down_pairs_.insert({a, b});
-  }
-  cv_.notify_all();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  down_pairs_.insert({a, b});
 }
 
 void RecoveryState::note_link_up(int a, int b) {
   if (a > b) std::swap(a, b);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    down_pairs_.erase({a, b});
-    // A healed link wipes its escalation notes: the peer is reachable
-    // again, so pre-heal exhaustion must not evict it later.
-    unreachable_notes_.erase({a, b});
-  }
-  cv_.notify_all();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  down_pairs_.erase({a, b});
+  // A healed link wipes its escalation notes: the peer is reachable again,
+  // so pre-heal exhaustion must not evict it later.
+  unreachable_notes_.erase({a, b});
 }
 
 void RecoveryState::note_unreachable(int reporter, int suspect) {
   const int a = reporter < suspect ? reporter : suspect;
   const int b = reporter < suspect ? suspect : reporter;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++unreachable_notes_[{a, b}];
-  }
-  cv_.notify_all();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ++unreachable_notes_[{a, b}];
 }
 
 std::vector<std::pair<int, int>> RecoveryState::down_pairs() const {
@@ -187,11 +184,8 @@ RecoveryState::Round& RecoveryState::round_locked(
 void RecoveryState::contribute(int rank, std::uint64_t seq,
                                const std::vector<int>& expected,
                                std::uint64_t flag, std::uint64_t cycles) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    round_locked(seq, expected).contrib[rank] = Contribution{flag, cycles};
-  }
-  cv_.notify_all();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  round_locked(seq, expected).contrib[rank] = Contribution{flag, cycles};
 }
 
 AgreeDecision RecoveryState::await_decision(int rank, std::uint64_t seq,
@@ -286,7 +280,6 @@ AgreeDecision RecoveryState::await_decision(int rank, std::uint64_t seq,
           acknowledged_[static_cast<std::size_t>(r)] = 1;
         }
         counters_.agreements.fetch_add(1, std::memory_order_relaxed);
-        cv_.notify_all();
         // The leader is the smallest majority member and never evicts
         // itself (evictions take the larger endpoint), so it returns.
         return rd.decision;
@@ -316,7 +309,6 @@ AgreeDecision RecoveryState::await_decision(int rank, std::uint64_t seq,
           acknowledged_[static_cast<std::size_t>(r)] = 1;
         }
         counters_.agreements.fetch_add(1, std::memory_order_relaxed);
-        cv_.notify_all();
         throw_partitioned(rank, seq, rd.decision.roster);
       }
     }
@@ -340,20 +332,13 @@ AgreeDecision RecoveryState::await_decision(int rank, std::uint64_t seq,
       throw AgreementTimeoutError(msg, std::move(missing));
     }
 
-    if (FiberScheduler::on_fiber()) {
-      // N:M invariant: a fiber must not sleep on the condvar — the worker
-      // it would block may be the only one left to run the contributor or
-      // leader fiber this wait depends on. Release the board, park
-      // cooperatively, re-derive everything on resume. (`rd` is refetched
-      // at the loop top; map references stay valid regardless.)
-      lock.unlock();
-      FiberScheduler::yield_waiting();
-      lock.lock();
-    } else {
-      cv_.wait_until(lock, std::min(deadline,
-                                    std::chrono::steady_clock::now() +
-                                        std::chrono::milliseconds(10)));
-    }
+    // N:M invariant: never block the worker — it may be the only one left
+    // to run the contributor or leader fiber this wait depends on. Release
+    // the board, park cooperatively, re-derive everything on resume. (`rd`
+    // is refetched at the loop top; map references stay valid regardless.)
+    lock.unlock();
+    FiberScheduler::yield_waiting();
+    lock.lock();
   }
 }
 

@@ -36,7 +36,6 @@
 // the collectives layer can reach it without a dependency cycle.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -96,8 +95,9 @@ class RecoveryState {
 
   // -- Failure roster --
 
-  /// Record that `rank` primarily failed (idempotent). Wakes agreement
-  /// waiters so a mid-agreement death unblocks the decision.
+  /// Record that `rank` primarily failed (idempotent). Agreement waiters
+  /// re-derive the live set at their next probe, so a mid-agreement death
+  /// unblocks the decision.
   void mark_failed(int rank);
 
   bool failed(int rank) const;
@@ -110,6 +110,13 @@ class RecoveryState {
 
   /// True when `rank` failed AND an agreement has acknowledged the failure.
   bool acknowledged(int rank) const;
+
+  /// Ranks some agreement excluded from its roster, ascending: failed ranks
+  /// it acknowledged plus live ranks it partitioned away. The deciding
+  /// leader records them before any participant returns, so every survivor
+  /// of that agreement sees the same set, however late the excluded ranks'
+  /// fibers finish unwinding.
+  std::vector<int> excluded_ranks() const;
 
   // -- Reachability graph (fed by LinkFaults callbacks + escalation) --
 
@@ -188,7 +195,6 @@ class RecoveryState {
 
   const int n_pes_;
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   std::vector<char> failed_;
   std::vector<char> acknowledged_;
   std::vector<std::uint64_t> participations_;  ///< per-rank agreement count

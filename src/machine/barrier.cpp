@@ -101,8 +101,8 @@ bool ClockSyncBarrier::combine(int ticket, std::uint64_t& carry) {
 
 std::uint64_t ClockSyncBarrier::release(std::uint64_t tree_max) {
   // Every other participant has contributed its arrival and is parked in
-  // await_release (polling the generation word or sleeping on cv_) — the
-  // quiescence window the hook contract promises.
+  // await_release, polling the generation word — the quiescence window the
+  // hook contract promises.
   if (all_arrived_) all_arrived_();
   const std::uint64_t res = reconcile_ ? reconcile_(tree_max, n_) : tree_max;
   // Reset the tree for the next generation BEFORE publishing this one:
@@ -113,17 +113,15 @@ std::uint64_t ClockSyncBarrier::release(std::uint64_t tree_max) {
     node.max_cycles.store(0, std::memory_order_relaxed);
   }
   tickets_.store(0, std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    result_ = res;
-    generation_.fetch_add(1, std::memory_order_release);
-  }
-  cv_.notify_all();
+  // result_ is published by the release increment: a waiter reads it only
+  // after its acquire-load sees the new generation, and the next generation
+  // cannot close (and overwrite it) until that waiter arrives again.
+  result_ = res;
+  generation_.fetch_add(1, std::memory_order_release);
   return res;
 }
 
 std::uint64_t ClockSyncBarrier::await_release(std::uint64_t my_gen) {
-  const bool on_fiber = FiberScheduler::on_fiber();
   const auto deadline =
       watchdog_ms_ == 0
           ? std::chrono::steady_clock::time_point::max()
@@ -148,22 +146,9 @@ std::uint64_t ClockSyncBarrier::await_release(std::uint64_t my_gen) {
     if (watchdog_ms_ != 0 && std::chrono::steady_clock::now() >= deadline) {
       watchdog_expired();
     }
-    if (on_fiber) {
-      // N:M invariant: never block the worker — park cooperatively; the
-      // scheduler always re-runs us, so no wakeup can be lost.
-      FiberScheduler::yield_waiting();
-    } else {
-      std::unique_lock<std::mutex> lock(mutex_);
-      const auto released = [&] {
-        return generation_.load(std::memory_order_acquire) != my_gen ||
-               poisoned_flag_.load(std::memory_order_acquire);
-      };
-      if (watchdog_ms_ == 0) {
-        cv_.wait(lock, released);
-      } else {
-        cv_.wait_until(lock, deadline, released);
-      }
-    }
+    // N:M invariant: never block the worker — park cooperatively; the
+    // scheduler always re-runs us, so no wakeup can be lost.
+    FiberScheduler::yield_waiting();
   }
 }
 
@@ -199,11 +184,10 @@ std::uint64_t ClockSyncBarrier::arrive_and_wait(std::uint64_t my_cycles) {
 void ClockSyncBarrier::throw_poisoned() {
   // Copy out before throwing: another thread may poison again (no-op) or
   // read the info concurrently.
-  BarrierPoison p;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    p = poison_;
-  }
+  throw_for(poison_info());
+}
+
+void ClockSyncBarrier::throw_for(const BarrierPoison& p) {
   if (p.failed_rank >= 0) throw PeFailedError(p.reason, p.failed_rank);
   if (p.timeout) throw BarrierTimeoutError(p.reason, p.arrived, p.missing);
   throw Error(p.reason.empty()
@@ -253,14 +237,11 @@ void ClockSyncBarrier::watchdog_expired() {
 void ClockSyncBarrier::poison() { poison(BarrierPoison{}); }
 
 void ClockSyncBarrier::poison(BarrierPoison info) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (!poisoned_flag_.load(std::memory_order_relaxed)) {
-      poison_ = std::move(info);
-      poisoned_flag_.store(true, std::memory_order_release);
-    }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (!poisoned_flag_.load(std::memory_order_relaxed)) {
+    poison_ = std::move(info);
+    poisoned_flag_.store(true, std::memory_order_release);
   }
-  cv_.notify_all();
 }
 
 bool ClockSyncBarrier::poisoned() const {

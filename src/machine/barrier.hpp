@@ -17,15 +17,14 @@
 // 12 PEs, prohibitive at 1024. Release is a single generation word every
 // waiter observes (sense-reversal broadcast).
 //
-// Waiting is execution-model aware: a PE fiber must never block its worker
-// thread (the N:M scheduler invariant, src/machine/fiber.hpp), so fiber
-// waiters poll the generation word and yield_waiting() between probes —
-// re-run by the scheduler, they can never miss a wakeup. Plain host threads
-// (tests, legacy "threads" mode) sleep on the condition variable exactly as
-// before.
+// Waiting has one shape: a waiter probes the generation word and calls
+// FiberScheduler::yield_waiting() between probes. A PE fiber must never
+// block its worker thread (the N:M scheduler invariant,
+// src/machine/fiber.hpp), so it parks cooperatively and, re-run by the
+// scheduler, can never miss a wakeup. Off a fiber (the unit tests that drive
+// a barrier from plain host threads) the same call yields the host thread.
 //
-// Failure semantics (docs/RESILIENCE.md), unchanged from the thread-per-PE
-// implementation:
+// Failure semantics (docs/RESILIENCE.md):
 //
 //  * The barrier can be *poisoned* when a PE dies with an exception: all
 //    current and future waiters throw instead of deadlocking, letting
@@ -43,7 +42,6 @@
 //    a hang becomes a diagnosis.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -90,17 +88,23 @@ class ClockSyncBarrier {
   /// BarrierTimeoutError if this waiter's watchdog fires first.
   std::uint64_t arrive_and_wait(std::uint64_t my_cycles);
 
-  /// Wake every waiter with a generic error. Safe to call from any thread.
+  /// Poison with a generic error: every current waiter throws at its next
+  /// probe, every later arrival at once. Safe to call from any thread.
   void poison();
 
-  /// Wake every waiter with a typed cause. The first poison wins; later
-  /// calls only re-notify.
+  /// Poison with a typed cause. The first poison wins; later calls are
+  /// no-ops.
   void poison(BarrierPoison info);
 
   bool poisoned() const;
 
   /// Copy of the poison diagnostics (meaningful only when poisoned()).
   BarrierPoison poison_info() const;
+
+  /// Throw what a waiter on a barrier poisoned with `p` throws:
+  /// PeFailedError for a death, BarrierTimeoutError for a watchdog, plain
+  /// Error otherwise.
+  [[noreturn]] static void throw_for(const BarrierPoison& p);
 
   /// True iff the member roster is known and `rank` is not on it — i.e. this
   /// barrier can provably never be blocked by `rank`. A barrier constructed
@@ -127,11 +131,11 @@ class ClockSyncBarrier {
   bool combine(int ticket, std::uint64_t& carry);
 
   /// Winner-only: run hook + reconcile, reset the tree, publish the next
-  /// generation, wake condvar waiters. Returns the reconciled clock.
+  /// generation. Returns the reconciled clock.
   std::uint64_t release(std::uint64_t tree_max);
 
-  /// Waiter: poll (fiber) or sleep (thread) until the generation advances
-  /// past `my_gen`, poison lands, or the watchdog expires.
+  /// Waiter: probe and yield_waiting() until the generation advances past
+  /// `my_gen`, poison lands, or the watchdog expires.
   std::uint64_t await_release(std::uint64_t my_gen);
 
   [[noreturn]] void throw_poisoned();
@@ -158,9 +162,8 @@ class ClockSyncBarrier {
   /// the generation_ release-store, read after its acquire-load.
   std::uint64_t result_ = 0;
 
-  // -- Slow paths (poison, watchdog diagnostics, condvar waiters) --
+  // -- Slow paths (poison, watchdog diagnostics) --
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   BarrierPoison poison_;
 };
 

@@ -1,9 +1,11 @@
 #include "machine/fiber.hpp"
 
+#include <cxxabi.h>
 #include <ucontext.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <exception>
 #include <thread>
 
@@ -28,6 +30,18 @@ namespace xbgas {
 
 namespace detail {
 
+/// The C++ runtime's per-thread exception state: the stack of exceptions
+/// being handled and the count of those in flight (the Itanium C++ ABI's
+/// __cxa_eh_globals, which <cxxabi.h> declares only opaquely). A fiber may
+/// yield inside a catch handler and resume on another worker, so each fiber
+/// carries its own copy across switches; sharing the thread's would let
+/// another fiber's catch/end-catch pop the wrong exception, leaking one
+/// exception object or freeing another early.
+struct EhState {
+  void* caught_exceptions = nullptr;
+  unsigned int uncaught_exceptions = 0;
+};
+
 struct Fiber {
   FiberScheduler* sched = nullptr;
   std::function<void()> body;
@@ -44,6 +58,7 @@ struct Fiber {
   std::uint64_t poll_count = 0;
   std::uint64_t inject_rng = 0;  ///< splitmix64 state for yield injection
   std::exception_ptr uncaught;
+  EhState eh;  ///< exception state while switched out
 
   /// ASan fake-stack handle saved while this fiber is switched out, and the
   /// worker stack to announce when switching back (captured on each landing
@@ -57,6 +72,10 @@ struct Fiber {
 struct WorkerState {
   FiberScheduler* sched = nullptr;
   ucontext_t ctx{};
+  EhState eh;  ///< the worker's own exception state while a fiber runs
+  /// This worker thread's runtime exception state, looked up once: a worker
+  /// never migrates, and the lookup costs more than the swap itself.
+  void* thread_eh = nullptr;
   void* asan_fake = nullptr;
   void* tsan_fiber = nullptr;
   Fiber* current = nullptr;
@@ -79,6 +98,11 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 void switch_worker_to_fiber(WorkerState& w, Fiber& f) {
   w.current = &f;
   t_fiber = &f;
+  // Swap the fiber's exception state in, and back out after the switch.
+  // Copied as bytes: the runtime's struct is opaque to this file.
+  void* const eh = w.thread_eh;
+  std::memcpy(&w.eh, eh, sizeof(EhState));
+  std::memcpy(eh, &f.eh, sizeof(EhState));
 #if defined(XBGAS_FIBER_ASAN)
   __sanitizer_start_switch_fiber(&w.asan_fake, f.stack.get(), f.stack_size);
 #endif
@@ -89,6 +113,8 @@ void switch_worker_to_fiber(WorkerState& w, Fiber& f) {
 #if defined(XBGAS_FIBER_ASAN)
   __sanitizer_finish_switch_fiber(w.asan_fake, nullptr, nullptr);
 #endif
+  std::memcpy(&f.eh, eh, sizeof(EhState));
+  std::memcpy(eh, &w.eh, sizeof(EhState));
   t_fiber = nullptr;
   w.current = nullptr;
 }
@@ -178,6 +204,7 @@ void FiberScheduler::push_ready(detail::Fiber* fiber) {
 
 void FiberScheduler::worker_loop(detail::WorkerState& w) {
   detail::t_worker = &w;
+  w.thread_eh = abi::__cxa_get_globals();
 #if defined(XBGAS_FIBER_TSAN)
   w.tsan_fiber = __tsan_get_current_fiber();
 #endif
@@ -281,7 +308,10 @@ void FiberScheduler::yield() {
 
 void FiberScheduler::yield_waiting() {
   detail::Fiber* f = detail::t_fiber;
-  if (f == nullptr) return;
+  if (f == nullptr) {
+    std::this_thread::yield();
+    return;
+  }
   f->sched->yields_waiting_.fetch_add(1, std::memory_order_relaxed);
   f->waiting_yield = true;
   detail::switch_fiber_to_worker(*f, /*dying=*/false);

@@ -1,16 +1,15 @@
 #pragma once
 
 // FiberScheduler — the N:M cooperative execution substrate under
-// Machine::run (docs/SCALING.md).
+// Machine::run (docs/SCALING.md), and the only way PEs execute.
 //
-// The original machine dedicated one std::thread to every PE, which caps
-// realistic world sizes near the paper's 12 cores: a 1024-PE region would
-// ask the host for 1024 kernel threads, all contending for the same few
-// cores and the same barrier mutex. Here each PE body runs as a cooperative
-// *fiber* (a ucontext stackful coroutine with its own heap-allocated stack)
-// and a bounded pool of worker threads — sized to hardware concurrency by
-// default — multiplexes the fibers, so a 1024-PE machine runs comfortably
-// on a laptop.
+// One host thread per PE would cap realistic world sizes near the paper's
+// 12 cores: a 1024-PE region would ask the host for 1024 kernel threads,
+// all contending for the same few cores. Here each PE body runs as a
+// cooperative *fiber* (a ucontext stackful coroutine with its own
+// heap-allocated stack) and a bounded pool of worker threads — sized to
+// hardware concurrency by default — multiplexes the fibers, so a 1024-PE
+// machine runs comfortably on a laptop.
 //
 // Scheduler invariants (the contract every blocking primitive obeys):
 //
@@ -32,6 +31,8 @@
 //
 //  * Fibers may migrate between workers; per-PE state therefore lives in
 //    PeContext (reached via current_user_data()), never in thread_locals.
+//    The C++ runtime's per-thread exception state is swapped per fiber on
+//    every switch, so a fiber may yield inside a catch handler.
 //
 // yield() means "I made progress, give others a turn" (cooperative time
 // slice); yield_waiting() means "I am blocked on a condition somebody else
@@ -62,10 +63,11 @@ namespace xbgas {
 
 /// PE execution model configuration (MachineConfig::sched).
 struct SchedConfig {
-  /// "fibers": N PE contexts over a bounded worker pool (default).
-  /// "threads": the legacy 1:1 std::thread-per-PE model.
+  /// Always "fibers": N PE contexts over a bounded worker pool. Machine::run
+  /// rejects any other value; the field stays so that configurations which
+  /// set it keep compiling.
   std::string mode = "fibers";
-  /// Worker threads for fiber mode; 0 = min(hardware_concurrency, n_pes).
+  /// Worker threads; 0 = min(hardware_concurrency, n_pes).
   int workers = 0;
   /// Stack bytes per fiber. PE bodies recurse at most O(log n) deep in the
   /// collective tree schedules; 512 KiB leaves generous headroom even under
@@ -132,7 +134,9 @@ class FiberScheduler {
   static void yield();
 
   /// Blocked-condition yield: like yield(), but tells the idle backoff
-  /// this fiber is waiting on external progress. No-op off-fiber.
+  /// this fiber is waiting on external progress. Off a fiber (a plain host
+  /// thread, as in the barrier unit tests) it yields the host thread, so
+  /// one probe-then-yield loop serves every waiter.
   static void yield_waiting();
 
   /// Cheap cooperative poll point for long compute/RMA loops: yields every

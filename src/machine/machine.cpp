@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -11,10 +10,6 @@
 namespace xbgas {
 
 namespace {
-/// Threads-mode binding only. In fiber mode the PE context rides on the
-/// fiber (user_data), never on the worker thread — fibers migrate.
-thread_local PeContext* t_current_pe = nullptr;
-
 int log_rank_provider() {
   PeContext* pe = current_pe_context();
   return pe != nullptr ? pe->rank() : -1;
@@ -22,10 +17,9 @@ int log_rank_provider() {
 }  // namespace
 
 PeContext* current_pe_context() {
-  if (void* ud = FiberScheduler::current_user_data(); ud != nullptr) {
-    return static_cast<PeContext*>(ud);
-  }
-  return t_current_pe;
+  // The PE context rides on the fiber (user_data), never on the worker
+  // thread — fibers migrate between workers.
+  return static_cast<PeContext*>(FiberScheduler::current_user_data());
 }
 
 PeContext::PeContext(Machine& machine, int rank, const MachineConfig& config)
@@ -130,11 +124,10 @@ const PeContext& Machine::pe(int rank) const {
 }
 
 void Machine::run(const std::function<void(PeContext&)>& body) {
-  const std::string& mode = config_.sched.mode;
-  XBGAS_CHECK(mode == "fibers" || mode == "threads",
-              "MachineConfig::sched.mode must be \"fibers\" or \"threads\"");
+  XBGAS_CHECK(config_.sched.mode == "fibers",
+              "MachineConfig::sched.mode must be \"fibers\"");
 
-  // One slot per PE, written only by that PE's fiber/thread and read after
+  // One slot per PE, written only by that PE's fiber and read after
   // all of them stop — no exception is ever dropped, and the report below
   // lists all of them.
   struct Slot {
@@ -148,8 +141,8 @@ void Machine::run(const std::function<void(PeContext&)>& body) {
   // not look "initialized" to the next region's body.
   for (auto& pe_ptr : pes_) pe_ptr->xbrtime_state() = XbrtimeRuntimeState{};
 
-  // The PE body, identical under either execution model. Catches
-  // *everything*: no exception may cross back into the scheduler.
+  // The PE body. Catches *everything*: no exception may cross back into the
+  // scheduler.
   auto pe_body = [&](std::size_t i) {
     PeContext* ctx = pes_[i].get();
     const int rank = ctx->rank();
@@ -176,12 +169,12 @@ void Machine::run(const std::function<void(PeContext&)>& body) {
     }
   };
 
-  if (mode == "fibers") {
-    FiberScheduler sched(config_.sched, config_.n_pes);
-    for (std::size_t i = 0; i < pes_.size(); ++i) {
-      sched.spawn([&pe_body, i] { pe_body(i); }, pes_[i].get());
-    }
-    sched.run();
+  FiberScheduler sched(config_.sched, config_.n_pes);
+  for (std::size_t i = 0; i < pes_.size(); ++i) {
+    sched.spawn([&pe_body, i] { pe_body(i); }, pes_[i].get());
+  }
+  sched.run();
+  {
     const SchedStats& s = sched.stats();
     const std::lock_guard<std::mutex> lock(health_mutex_);
     sched_stats_.regions += s.regions;
@@ -191,17 +184,6 @@ void Machine::run(const std::function<void(PeContext&)>& body) {
     sched_stats_.yields_waiting += s.yields_waiting;
     sched_stats_.injected_yields += s.injected_yields;
     sched_stats_.naps += s.naps;
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(pes_.size());
-    for (std::size_t i = 0; i < pes_.size(); ++i) {
-      threads.emplace_back([&pe_body, ctx = pes_[i].get(), i] {
-        t_current_pe = ctx;
-        pe_body(i);
-        t_current_pe = nullptr;
-      });
-    }
-    for (auto& t : threads) t.join();
   }
 
   std::vector<PeFailure> region_failures;
@@ -349,6 +331,57 @@ void Machine::register_barrier(ClockSyncBarrier* barrier) {
 void Machine::unregister_barrier(ClockSyncBarrier* barrier) {
   const std::lock_guard<std::mutex> lock(barriers_mutex_);
   std::erase(barriers_, barrier);
+}
+
+std::shared_ptr<ClockSyncBarrier> Machine::team_barrier(
+    const std::vector<int>& members, std::uint64_t epoch) {
+  const TeamKey key{epoch, members};
+  const std::lock_guard<std::mutex> lock(teams_mutex_);
+  if (auto it = team_tombstones_.find(key); it != team_tombstones_.end()) {
+    ClockSyncBarrier::throw_for(it->second);
+  }
+  if (auto it = teams_.find(key); it != teams_.end()) {
+    if (auto existing = it->second.lock()) return existing;
+  }
+  const NetCostParams params = network_.params();
+  const int size = static_cast<int>(members.size());
+  auto* raw = new ClockSyncBarrier(
+      size,
+      [params, size](std::uint64_t max_cycles, int) {
+        return max_cycles + params.barrier_cycles(size);
+      },
+      config_.fault.barrier_timeout_ms, members);
+  if (sanitizer_.conflicts_enabled()) {
+    // XbrSan epoch join over exactly the member set: a team barrier orders
+    // its members' accesses (vector-clock join), not the whole world's.
+    raw->set_all_arrived_hook(
+        [this, members] { sanitizer_.on_barrier_all_arrived(members); });
+  }
+  std::shared_ptr<ClockSyncBarrier> barrier(
+      raw, [this, key](ClockSyncBarrier* b) {
+        unregister_barrier(b);
+        {
+          const std::lock_guard<std::mutex> inner(teams_mutex_);
+          // Between the last release and this lock a member may already
+          // have founded the next barrier under the same key; evict the
+          // entry only while it still points at a dead barrier.
+          if (auto it = teams_.find(key);
+              it != teams_.end() && it->second.expired()) {
+            teams_.erase(it);
+          }
+          // Survivor keys are never reused (the epoch is an agreement
+          // sequence number), so a poisoned one stays poisoned for the
+          // wave's stragglers. Active-set keys are reused by every call;
+          // birth-poisoning covers their stragglers.
+          if (key.first > 0 && b->poisoned()) {
+            team_tombstones_[key] = b->poison_info();
+          }
+        }
+        delete b;
+      });
+  register_barrier(barrier.get());
+  teams_[key] = barrier;
+  return barrier;
 }
 
 void Machine::poison_barriers_for_unreachable(int suspect,

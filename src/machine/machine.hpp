@@ -8,23 +8,26 @@
 // cache hierarchy, simulated clock, and deterministic allocators. run()
 // executes an SPMD body with one cooperative *fiber* per PE multiplexed
 // over a bounded worker pool (FiberScheduler, docs/SCALING.md) — so a
-// 1024-PE machine runs on a handful of host cores; MachineConfig::sched
-// selects the legacy 1:1 thread-per-PE model instead. A failing PE poisons
-// every registered barrier (so no waiter deadlocks) and run() throws a
-// composite SpmdRegionError listing every failed rank and cause — unless
+// 1024-PE machine runs on a handful of host cores. The machine owns every
+// rendezvous: the world barrier and, through team_barrier(), the shared
+// barrier of each team. A failing PE poisons every registered barrier (so
+// no waiter deadlocks) and run() throws a composite SpmdRegionError listing
+// every failed rank and cause — unless
 // the survivors *recovered* (acknowledged every death via xbr_team_shrink's
 // agreement), in which case run() returns normally. The machine also owns
 // the FaultInjector, the RecoveryState (failure roster + agreement board),
 // the CheckpointStore (src/fault), and a post-mortem health view
 // (alive / failed_ranks / failures / health).
 
+#include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
-#include <vector>
-
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cache/hierarchy.hpp"
 #include "fault/checkpoint_store.hpp"
@@ -69,8 +72,7 @@ struct MachineConfig {
   /// Forced k-nomial radix for tree/hierarchical schedules (0: default 2,
   /// or the tuned radix when a tune-table entry matches).
   int coll_radix = 0;
-  /// PE execution model: fiber N:M scheduling (default) or legacy
-  /// thread-per-PE (docs/SCALING.md).
+  /// PE execution model: N:M fiber scheduling (docs/SCALING.md).
   SchedConfig sched{};
 };
 
@@ -203,9 +205,9 @@ class Machine {
   int n_pes() const { return config_.n_pes; }
   const MachineConfig& config() const { return config_; }
 
-  /// Process-unique, never-reused id for this Machine instance. Cross-machine
-  /// registries (e.g. the survivor-team rendezvous in collectives/shrink.cpp)
-  /// key on this instead of the address, which the allocator may reuse.
+  /// Process-unique, never-reused id for this Machine instance. Per-thread
+  /// caches (the collectives policy cache) key on this instead of the
+  /// address, which the allocator may reuse.
   std::uint64_t instance_id() const { return instance_id_; }
 
   NetworkModel& network() { return network_; }
@@ -222,6 +224,20 @@ class Machine {
 
   ClockSyncBarrier& world_barrier() { return *world_barrier_; }
 
+  /// The shared rendezvous barrier of one team: every member that asks for
+  /// the same ascending `members` set in the same `epoch` gets the same
+  /// barrier. Active-set teams use epoch 0; survivor teams use the epoch of
+  /// the agreement that formed them, so a later wave over an identical
+  /// roster gets a fresh barrier. The barrier costs max + the modeled
+  /// log2(size) exchange and does not reconcile the global fabric phase
+  /// (that stays tied to world barriers, so disjoint teams don't consume
+  /// each other's traffic). It is registered for poisoning while any member
+  /// holds it. A poisoned survivor rendezvous leaves a tombstone: a
+  /// straggler of that wave throws its poison instead of founding a barrier
+  /// nobody else will reach.
+  std::shared_ptr<ClockSyncBarrier> team_barrier(
+      const std::vector<int>& members, std::uint64_t epoch);
+
   PeContext& pe(int rank);
   const PeContext& pe(int rank) const;
 
@@ -235,8 +251,7 @@ class Machine {
   const CheckpointStore& checkpoint_store() const { return checkpoint_store_; }
 
   /// Execute `body` as an SPMD region: one fiber per PE over the bounded
-  /// worker pool (or one thread per PE when config().sched.mode ==
-  /// "threads"). A failing PE is marked failed in the recovery roster
+  /// worker pool. A failing PE is marked failed in the recovery roster
   /// immediately and poisons every registered barrier with its rank and
   /// cause, so surviving waiters unwind with PeFailedError instead of
   /// deadlocking. Every PE's failure is collected and recorded (primaries
@@ -246,7 +261,7 @@ class Machine {
   /// region *recovered*: run returns normally. Otherwise run throws
   /// SpmdRegionError listing each failed rank and cause — no exception is
   /// silently dropped. During the region, current_pe_context() returns the
-  /// calling fiber's (or thread's) PE context.
+  /// calling fiber's PE context.
   void run(const std::function<void(PeContext&)>& body);
 
   /// Scheduler statistics accumulated across every run() on this machine
@@ -329,13 +344,20 @@ class Machine {
   /// of a later recovery epoch are born clean).
   std::map<int, BarrierPoison> primary_poisons_;
 
+  /// team_barrier's registry, keyed by (epoch, members). Entries are weak:
+  /// the last member to drop a team evicts its entry.
+  using TeamKey = std::pair<std::uint64_t, std::vector<int>>;
+  std::mutex teams_mutex_;
+  std::map<TeamKey, std::weak_ptr<ClockSyncBarrier>> teams_;
+  std::map<TeamKey, BarrierPoison> team_tombstones_;  ///< epoch > 0 only
+
   mutable std::mutex health_mutex_;
   std::vector<PeFailure> failures_;   ///< accumulated failure records
   SchedStats sched_stats_;            ///< accumulated, under health_mutex_
 };
 
-/// The PE context bound to the calling fiber (fiber mode) or thread
-/// (threads mode) inside Machine::run, or nullptr outside any SPMD region.
+/// The PE context bound to the calling fiber inside Machine::run, or
+/// nullptr outside any SPMD region.
 PeContext* current_pe_context();
 
 }  // namespace xbgas

@@ -106,6 +106,17 @@ void nb_drain_all(PeContext& ctx) {
   ctx.machine().sanitizer().on_wait(ctx.rank());
 }
 
+void nb_discard_all(PeContext& ctx) {
+  XbrtimeRuntimeState& st = ctx.xbrtime_state();
+  for (WcTargetBuffer& buf : st.wc.targets) {
+    buf.entries.clear();
+    buf.payload.clear();
+  }
+  ctx.clear_pending();
+  st.nbi_inflight.clear();
+  ctx.machine().sanitizer().on_wait(ctx.rank());
+}
+
 }  // namespace detail
 
 }  // namespace xbgas

@@ -84,6 +84,11 @@ void note_nbi_issue(bool is_put);
 /// cleared, XbrSan zones closed.
 void nb_drain_all(PeContext& ctx);
 
+/// The recovery twin of nb_drain_all (xbr_team_shrink): drop buffered
+/// write-combined puts, the pending horizon and the request table without
+/// sending or charging anything, and close XbrSan zones.
+void nb_discard_all(PeContext& ctx);
+
 }  // namespace detail
 
 template <class T>

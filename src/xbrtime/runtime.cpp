@@ -16,8 +16,7 @@ namespace {
 // The runtime's per-PE state (init flag, allocation count, staging stack)
 // lives in PeContext::xbrtime_state(), NOT in a thread_local: PE fibers
 // migrate between worker threads, so thread identity no longer implies PE
-// identity. current_pe_context() resolves the calling fiber's (or, in
-// threads mode, thread's) PE.
+// identity. current_pe_context() resolves the calling fiber's PE.
 
 constexpr std::uint64_t kAllocFailed = std::numeric_limits<std::uint64_t>::max();
 

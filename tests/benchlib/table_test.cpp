@@ -54,5 +54,15 @@ TEST(AsciiTableTest, HeaderOnlyTableRenders) {
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 4);
 }
 
+TEST(AsciiTableTest, RendersJsonWithTheSameCells) {
+  AsciiTable table({"PEs", "note"});
+  table.add_row({"4", "say \"hi\""});
+  table.add_row({"8", "a\\b"});
+  EXPECT_EQ(table.render_json(),
+            "{\"headers\": [\"PEs\", \"note\"], \"rows\": [\n"
+            "      [\"4\", \"say \\\"hi\\\"\"],\n"
+            "      [\"8\", \"a\\\\b\"]]}");
+}
+
 }  // namespace
 }  // namespace xbgas

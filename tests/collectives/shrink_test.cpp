@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "collectives/policy.hpp"
 #include "collectives/shrink.hpp"
 #include "trace/collect.hpp"
+#include "xbrtime/wc.hpp"
 
 namespace xbgas {
 namespace {
@@ -196,6 +198,101 @@ TEST(ShrinkTest, TeamRevokeAlsoWorksOnActiveSetTeams) {
   for (const int r : {0, 2, 3}) {
     EXPECT_EQ(saw_revoked[static_cast<std::size_t>(r)], 1);
   }
+}
+
+/// Rank 0 write-combines 42 into rank 1's slot, then every PE of a healthy
+/// 4-PE world crosses one barrier of the team `make_team` builds. Returns
+/// what rank 1 reads after that barrier.
+std::uint64_t wc_put_seen_across_team_barrier(
+    const std::function<std::unique_ptr<Communicator>()>& make_team) {
+  constexpr int kPes = 4;
+  Machine machine(config(kPes));
+  std::uint64_t seen = 0;
+  machine.run([&](PeContext& pe) {
+    xbrtime_init();
+    auto* slot =
+        static_cast<std::uint64_t*>(xbrtime_malloc(sizeof(std::uint64_t)));
+    *slot = 0;
+    xbrtime_barrier();
+    auto team = make_team();
+    if (pe.rank() == 0) {
+      xbr_wc_enable();
+      const std::uint64_t v = 42;
+      xbr_put_wc(slot, &v, 1, 1, 1);  // buffered: nothing has moved yet
+    }
+    team->barrier();  // a full fence: the buffered put must land first
+    if (pe.rank() == 1) seen = *slot;
+    team->barrier();
+    team.reset();
+    xbrtime_free(slot);
+    xbrtime_close();
+  });
+  return seen;
+}
+
+TEST(ShrinkTest, SurvivorTeamBarrierIsAFullFence) {
+  EXPECT_EQ(wc_put_seen_across_team_barrier([] { return xbr_team_shrink(); }),
+            42u);
+}
+
+TEST(ShrinkTest, ActiveSetTeamBarrierIsAFullFence) {
+  EXPECT_EQ(wc_put_seen_across_team_barrier(
+                [] { return std::make_unique<Team>(0, 1, 4); }),
+            42u);
+}
+
+TEST(ShrinkTest, ShrinkDiscardsPutsBufferedTowardTheDead) {
+  // Rank 0 buffers a write-combined put toward rank 3, then rank 3 dies at a
+  // scripted barrier kill. Rank 0 waits for the death without entering a
+  // barrier (which would flush), so the put is still buffered when it
+  // shrinks. xbr_team_shrink must drop it unsent: the new team's first
+  // barrier is a full fence and would otherwise deliver it to the dead peer.
+  constexpr int kPes = 4;
+  FaultConfig fc;
+  // init takes barriers #1-#3 and the malloc #4-#5; rank 3 dies at #6.
+  fc.kills.push_back(KillSpec{3, KillSite::kBarrier, 6});
+  Machine machine(config(kPes, fc));
+  std::size_t slot_offset = 0;
+  std::vector<std::vector<int>> members(kPes);
+  std::size_t buffered_after_shrink = 1;
+
+  machine.run([&](PeContext& pe) {
+    xbrtime_init();
+    auto* slot =
+        static_cast<std::uint64_t*>(xbrtime_malloc(sizeof(std::uint64_t)));
+    *slot = 0;
+    if (pe.rank() == 0) {
+      slot_offset = pe.arena().shared_offset_of(slot);
+      xbr_wc_enable();
+      const std::uint64_t v = 42;
+      xbr_put_wc(slot, &v, 1, 1, 3);
+      while (!pe.machine().recovery().failed(3)) {
+        FiberScheduler::yield_waiting();
+      }
+    } else {
+      try {
+        xbrtime_barrier();  // barrier #6: rank 3 dies here
+      } catch (const PeFailedError&) {
+      }
+    }
+    auto team = xbr_team_shrink();
+    team->barrier();
+    members[static_cast<std::size_t>(pe.rank())] = team->members();
+    if (pe.rank() == 0) {
+      buffered_after_shrink = pe.xbrtime_state().wc.targets[3].entries.size();
+    }
+  });
+
+  const std::vector<int> survivors{0, 1, 2};
+  for (const int wr : survivors) {
+    EXPECT_EQ(members[static_cast<std::size_t>(wr)], survivors);
+  }
+  EXPECT_EQ(buffered_after_shrink, 0u);
+  std::uint64_t dead_slot = 0;
+  std::memcpy(&dead_slot, machine.pe(3).arena().shared_at(slot_offset),
+              sizeof(dead_slot));
+  EXPECT_EQ(dead_slot, 0u) << "a put buffered before the death was flushed "
+                              "to the dead peer";
 }
 
 }  // namespace

@@ -3,13 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <exception>
+#include <functional>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "collectives/collectives.hpp"
 #include "collectives/composed.hpp"
+#include "collectives/policy.hpp"
+#include "collectives/shrink.hpp"
 #include "common/error.hpp"
 #include "machine/fiber.hpp"
 #include "helpers.hpp"
+#include "support/modeled_counters.hpp"
 
 namespace xbgas {
 namespace {
@@ -199,6 +207,75 @@ TEST(TeamRegistryTest, KeyChurnNeverSplitsATeam) {
     }
     xbrtime_close();
   }));
+}
+
+/// What one hierarchical run leaves behind: every PE's clock and the
+/// modeled counters.
+struct HierOutcome {
+  std::vector<std::uint64_t> clocks;
+  std::string counters;
+};
+
+/// Hierarchical allreduces on a 4x4 cluster (one Team per level per call),
+/// then one healthy xbr_team_shrink and a barrier on the survivor team.
+HierOutcome hier_allreduce_then_shrink() {
+  constexpr int kPes = 16;
+  constexpr std::size_t kElems = 64;
+  MachineConfig config = testing::test_config(kPes);
+  config.topology_name = "cluster4x8";
+  config.coll_algo = "hier";
+  Machine machine(config);
+  machine.run([&](PeContext& pe) {
+    xbrtime_init();
+    auto* src = static_cast<std::uint64_t*>(
+        xbrtime_malloc(kElems * sizeof(std::uint64_t)));
+    auto* dest = static_cast<std::uint64_t*>(
+        xbrtime_malloc(kElems * sizeof(std::uint64_t)));
+    for (std::size_t i = 0; i < kElems; ++i) {
+      src[i] = static_cast<std::uint64_t>(pe.rank()) * 1000 + i;
+    }
+    for (int rep = 0; rep < 4; ++rep) {
+      dispatch_reduce_all<OpSum>(dest, src, kElems, 1);
+    }
+    auto team = xbr_team_shrink();
+    team->barrier();
+    team.reset();
+    xbrtime_free(dest);
+    xbrtime_free(src);
+    xbrtime_close();
+  });
+  HierOutcome out;
+  for (int r = 0; r < kPes; ++r) {
+    out.clocks.push_back(machine.pe(r).clock().cycles());
+  }
+  out.counters = testing::modeled_counters(machine).json();
+  return out;
+}
+
+TEST(TeamRegistryTest, TwoMachinesAtOnceMatchSoloRuns) {
+  // Two Machines on two host threads build the same team keys at the same
+  // time. Each Machine owns its team registry, so neither run can see the
+  // other's barriers: both must end exactly where a solo run ends.
+  const HierOutcome solo = hier_allreduce_then_shrink();
+  HierOutcome a, b;
+  std::exception_ptr error_a, error_b;
+  const auto run_into = [](HierOutcome& out, std::exception_ptr& error) {
+    try {
+      out = hier_allreduce_then_shrink();
+    } catch (...) {
+      error = std::current_exception();
+    }
+  };
+  std::thread ta(run_into, std::ref(a), std::ref(error_a));
+  std::thread tb(run_into, std::ref(b), std::ref(error_b));
+  ta.join();
+  tb.join();
+  if (error_a) std::rethrow_exception(error_a);
+  if (error_b) std::rethrow_exception(error_b);
+  EXPECT_EQ(a.clocks, solo.clocks);
+  EXPECT_EQ(b.clocks, solo.clocks);
+  EXPECT_EQ(a.counters, solo.counters);
+  EXPECT_EQ(b.counters, solo.counters);
 }
 
 }  // namespace

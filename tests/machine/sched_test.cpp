@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -136,13 +137,44 @@ TEST(SchedTest, FiberExceptionIsRethrownAfterAllFibersStop) {
   EXPECT_EQ(completed.load(), 2);
 }
 
+TEST(SchedTest, CatchHandlersKeepTheirExceptionAcrossYields) {
+  // Every fiber yields inside its own catch handler while the others throw
+  // and catch theirs. The C++ runtime tracks the exceptions being handled
+  // per thread, so each fiber must carry its own across switches: resumed —
+  // on 4 workers possibly elsewhere — a rethrow inside the handler still
+  // yields that fiber's exception.
+  constexpr int kFibers = 8;
+  for (const int workers : {1, 4}) {
+    SchedConfig cfg;
+    cfg.workers = workers;
+    FiberScheduler sched(cfg, kFibers);
+    std::atomic<int> own{0};
+    for (int id = 0; id < kFibers; ++id) {
+      sched.spawn([&own, id] {
+        try {
+          throw std::runtime_error(std::to_string(id));
+        } catch (const std::runtime_error&) {
+          for (int i = 0; i < 4; ++i) FiberScheduler::yield();
+          try {
+            throw;
+          } catch (const std::runtime_error& e) {
+            if (std::to_string(id) == e.what()) own.fetch_add(1);
+          }
+        }
+      }, nullptr);
+    }
+    sched.run();
+    EXPECT_EQ(own.load(), kFibers) << "workers " << workers;
+  }
+}
+
 TEST(SchedTest, RejectsUndersizedStacks) {
   SchedConfig cfg;
   cfg.stack_bytes = 4 * 1024;
   EXPECT_THROW(FiberScheduler(cfg, 1), Error);
 }
 
-// -- Machine-level behavior of the two execution models --
+// -- Machine-level behavior of the fiber execution model --
 
 MachineConfig small_machine(int n_pes) {
   MachineConfig c;
@@ -172,43 +204,36 @@ void ring_workload(PeContext& pe, std::vector<std::uint64_t>& out) {
   xbrtime_close();
 }
 
-TEST(SchedMachineTest, FiberAndThreadModesAgreeOnTimeAndData) {
-  std::uint64_t cycles[2];
-  std::vector<std::uint64_t> data[2];
-  const char* modes[2] = {"fibers", "threads"};
-  for (int m = 0; m < 2; ++m) {
-    MachineConfig cfg = small_machine(6);
-    cfg.sched.mode = modes[m];
-    Machine machine(cfg);
-    data[m].assign(6, 0);
-    machine.run([&](PeContext& pe) { ring_workload(pe, data[m]); });
-    cycles[m] = machine.max_cycles();
-  }
-  EXPECT_EQ(cycles[0], cycles[1]);
-  EXPECT_EQ(data[0], data[1]);
-}
-
 TEST(SchedMachineTest, YieldInjectionShakesScheduleNotSimulatedTime) {
   // Any schedule a random yield pattern can produce must complete with
   // bit-identical simulated time and data: simulated time depends only on
-  // the modeled machine, never on host interleaving.
+  // the modeled machine, never on host interleaving. The baseline is one
+  // worker without injection (strict round-robin); 4 workers run the same
+  // fibers on a schedule the host decides independently.
   std::uint64_t base_cycles = 0;
   std::vector<std::uint64_t> base_data(8, 0);
   {
-    Machine machine(small_machine(8));
+    MachineConfig cfg = small_machine(8);
+    cfg.sched.workers = 1;
+    Machine machine(cfg);
     machine.run([&](PeContext& pe) { ring_workload(pe, base_data); });
     base_cycles = machine.max_cycles();
   }
-  for (const std::uint64_t seed : {1u, 99u}) {
-    MachineConfig cfg = small_machine(8);
-    cfg.sched.yield_inject_prob = 0.5;
-    cfg.sched.yield_inject_seed = seed;
-    Machine machine(cfg);
-    std::vector<std::uint64_t> data(8, 0);
-    machine.run([&](PeContext& pe) { ring_workload(pe, data); });
-    EXPECT_EQ(machine.max_cycles(), base_cycles) << "seed " << seed;
-    EXPECT_EQ(data, base_data) << "seed " << seed;
-    EXPECT_GT(machine.sched_stats().injected_yields, 0u) << "seed " << seed;
+  for (const int workers : {1, 4}) {
+    for (const std::uint64_t seed : {1u, 99u}) {
+      MachineConfig cfg = small_machine(8);
+      cfg.sched.workers = workers;
+      cfg.sched.yield_inject_prob = 0.5;
+      cfg.sched.yield_inject_seed = seed;
+      Machine machine(cfg);
+      std::vector<std::uint64_t> data(8, 0);
+      machine.run([&](PeContext& pe) { ring_workload(pe, data); });
+      EXPECT_EQ(machine.max_cycles(), base_cycles)
+          << "workers " << workers << ", seed " << seed;
+      EXPECT_EQ(data, base_data) << "workers " << workers << ", seed " << seed;
+      EXPECT_GT(machine.sched_stats().injected_yields, 0u)
+          << "workers " << workers << ", seed " << seed;
+    }
   }
 }
 
@@ -224,10 +249,14 @@ TEST(SchedMachineTest, StatsAccumulateAcrossRegions) {
 }
 
 TEST(SchedMachineTest, RejectsUnknownMode) {
-  MachineConfig cfg = small_machine(2);
-  cfg.sched.mode = "green-threads";
-  Machine machine(cfg);
-  EXPECT_THROW(machine.run([](PeContext&) {}), Error);
+  // Fibers are the only execution model; the retired thread-per-PE mode is
+  // rejected like any other unknown name.
+  for (const char* mode : {"green-threads", "threads"}) {
+    MachineConfig cfg = small_machine(2);
+    cfg.sched.mode = mode;
+    Machine machine(cfg);
+    EXPECT_THROW(machine.run([](PeContext&) {}), Error) << mode;
+  }
 }
 
 TEST(SchedMachineTest, CurrentPeContextResolvesThroughFibers) {

@@ -19,7 +19,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "collectives/team.hpp"
@@ -48,8 +47,7 @@ MachineConfig config(int n_pes, SanMode mode) {
 /// flag-setter needs (src/machine/fiber.hpp invariants).
 void await(const std::atomic<bool>& flag) {
   while (!flag.load(std::memory_order_acquire)) {
-    FiberScheduler::yield_waiting();  // no-op in threads mode
-    std::this_thread::yield();
+    FiberScheduler::yield_waiting();
   }
 }
 
