@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
               "broadcast (%d PEs, nodes of %d, boundary = %d hops) ==\n",
               n, group, remote_hops);
 
+  const xbgas::HierShape two_level{{group}, /*radix=*/2, /*chunk=*/0};
   xbgas::AsciiTable table({"root", "flat tree", "two-level", "speedup"});
   for (int root = 0; root < n; ++root) {
     xbgas::MachineConfig config = xbgas::machine_config_from_cli(args, n);
@@ -50,13 +51,13 @@ int main(int argc, char** argv) {
       // Warm both forwarding sets.
       xbgas::broadcast(buf, src, nelems, 1, root);
       xbgas::xbrtime_barrier();
-      xbgas::hierarchical_broadcast(buf, src, nelems, 1, root, group);
+      xbgas::hier_broadcast(buf, src, nelems, 1, root, two_level);
 
       const std::uint64_t t0 = pe.clock().cycles();
       xbgas::broadcast(buf, src, nelems, 1, root);
       xbgas::xbrtime_barrier();
       const std::uint64_t t1 = pe.clock().cycles();
-      xbgas::hierarchical_broadcast(buf, src, nelems, 1, root, group);
+      xbgas::hier_broadcast(buf, src, nelems, 1, root, two_level);
       xbgas::xbrtime_barrier();
       const std::uint64_t t2 = pe.clock().cycles();
       if (pe.rank() == 0) {

@@ -49,7 +49,9 @@
 #  17. paper-results gate (EXPERIMENTS.md): scripts/bench_paper.sh
 #      regenerates Fig. 3's edges, Tables 1-2, Fig. 4, Fig. 5 class W and the
 #      A1/A4/A6/A7 cycle counts; every value is modeled, so the result must
-#      match the committed BENCH_paper.json byte for byte
+#      match the committed BENCH_paper.json byte for byte, and EXPERIMENTS.md's
+#      Fig. 4, Fig. 5 class W and A6 tables must be its verbatim rendering
+#      (scripts/render_experiments.py)
 #  18. contended rendezvous: the team, shrink, hierarchy, barrier,
 #      scheduler and partition suites repeated 5x, first pinned to one CPU,
 #      then beside one CPU-burning loop per core
@@ -324,7 +326,8 @@ ctest --test-dir "$BUILD-tsan" \
 echo "== [17/18] paper-results gate (BENCH_paper.json, EXPERIMENTS.md) =="
 scripts/bench_paper.sh "$BUILD" "$TMP/paper.json" > /dev/null
 diff -u BENCH_paper.json "$TMP/paper.json"
-echo "paper gate OK: BENCH_paper.json reproduces byte for byte"
+python3 scripts/render_experiments.py --check "$TMP/paper.json" EXPERIMENTS.md
+echo "paper gate OK: BENCH_paper.json reproduces byte for byte, EXPERIMENTS.md quotes it"
 
 echo "== [18/18] contended rendezvous (one CPU, then CPU burners) =="
 # Every team, shrink, hierarchy, barrier, scheduler and partition test, five

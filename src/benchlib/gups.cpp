@@ -2,6 +2,7 @@
 
 #include "collectives/collectives.hpp"
 #include "collectives/composed.hpp"
+#include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "xbrtime/rma.hpp"

@@ -3,11 +3,14 @@
 // Linear (flat) collective baselines.
 //
 // The paper motivates the binomial tree against the obvious alternative —
-// the root talking to every PE directly (§4.1-§4.2). These baselines
-// implement that flat pattern with the same xbr_put/xbr_get primitives and
-// the same symmetry requirements, so the A1 ablation bench can compare the
-// two shapes like-for-like: the tree costs O(log N) serialized steps at the
-// root, the linear form O(N).
+// the root talking to every PE directly (§4.1-§4.2). That flat pattern is
+// the same k-nomial tree with radix n: one stage in which the root's edges
+// reach every other PE. Both baselines run on the k-nomial walk
+// (collectives.hpp) with the same xbr_put/xbr_get primitives and symmetry
+// requirements as the tree, so the A1 ablation bench compares the two
+// shapes like-for-like: the tree costs O(log N) serialized steps at the
+// root, the linear form O(N). On one PE the radix-n tree has no stage; the
+// flat pattern still fences once, as it always has.
 
 #include <algorithm>
 #include <cstddef>
@@ -20,130 +23,40 @@ namespace xbgas {
 template <class T>
 void linear_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
                       int root, Communicator& comm = world_comm()) {
-  const int vr = detail::collective_prologue(comm, root, stride);
   const int n = comm.n_pes();
-  if (vr == 0 && nelems > 0) {
-    if (dest != src) {
-      xbr_put(dest, src, nelems, stride, comm.world_rank(comm.rank()));
-    }
-    for (int v = 1; v < n; ++v) {
-      xbr_put(dest, src, nelems, stride,
-              comm.world_rank(logical_rank(v, root, n)));
-    }
-  }
-  comm.barrier();
+  detail::knomial_broadcast(dest, src, nelems, stride, root,
+                            /*radix=*/std::max(n, 2), comm);
+  if (n == 1) comm.barrier();
 }
 
+/// The root folds each peer's strided `src` into its own dest, pulling it
+/// straight into a private landing buffer: no symmetric staging, unlike
+/// knomial_reduce.
 template <class Op, class T>
 void linear_reduce(T* dest, const T* src, std::size_t nelems, int stride,
                    int root, Communicator& comm = world_comm()) {
   const int vr = detail::collective_prologue(comm, root, stride);
   const int n = comm.n_pes();
-  const std::size_t span = detail::strided_span(nelems, stride);
+  const auto at = [stride](std::size_t j) {
+    return j * static_cast<std::size_t>(stride);
+  };
 
   comm.barrier();  // every PE's src must be ready before the root pulls
-  if (vr == 0) {
-    std::vector<T> acc(span);
-    std::vector<T> l_buff(span);
-    for (std::size_t j = 0; j < nelems; ++j) {
-      acc[j * static_cast<std::size_t>(stride)] =
-          src[j * static_cast<std::size_t>(stride)];
-    }
-    PeContext& ctx = xbrtime_ctx();
-    for (int v = 1; v < n; ++v) {
-      const int lr = logical_rank(v, root, n);
-      xbr_get(l_buff.data(), src, nelems, stride, comm.world_rank(lr));
-      for (std::size_t j = 0; j < nelems; ++j) {
-        const std::size_t at = j * static_cast<std::size_t>(stride);
-        acc[at] = Op::apply(acc[at], l_buff[at]);
-      }
-      ctx.clock().advance(detail::kReduceOpCycles * nelems);
-    }
-    for (std::size_t j = 0; j < nelems; ++j) {
-      const std::size_t at = j * static_cast<std::size_t>(stride);
-      dest[at] = acc[at];
-    }
-  }
-  comm.barrier();  // peers may reuse src only after the root is done
-}
-
-template <class T>
-void linear_scatter(T* dest, const T* src, const int* pe_msgs,
-                    const int* pe_disp, std::size_t nelems, int root,
-                    Communicator& comm = world_comm()) {
-  const int vr = detail::collective_prologue(comm, root, /*stride=*/1);
-  const int n = comm.n_pes();
-  const int me = comm.rank();
-  const auto adj = detail::adjusted_displacements(comm, pe_msgs, root);
-  XBGAS_CHECK(adj[static_cast<std::size_t>(n)] == nelems,
-              "linear_scatter: sum(pe_msgs) must equal nelems");
-
-  // Staging must sit at a symmetric offset on every member, so size it by
-  // the largest per-PE message.
-  std::size_t maxc = 0;
-  for (int r = 0; r < n; ++r) {
-    maxc = std::max(maxc, static_cast<std::size_t>(pe_msgs[r]));
-  }
-  T* s_buff = static_cast<T*>(
-      detail::collective_staging_alloc(sizeof(T), std::max<std::size_t>(maxc, 1)));
-  // Entry barrier before the root writes into peer staging: a peer may
-  // still be draining the staging region of the *previous* collective.
-  comm.barrier();
-
-  if (vr == 0) {
-    for (int v = 0; v < n; ++v) {
-      const int lr = logical_rank(v, root, n);
-      const auto count = static_cast<std::size_t>(pe_msgs[lr]);
-      if (count > 0) {
-        xbr_put(s_buff, src + pe_disp[lr], count, 1, comm.world_rank(lr));
-      }
-    }
-  }
-  comm.barrier();
-
-  const auto mine = static_cast<std::size_t>(pe_msgs[me]);
-  if (mine > 0) {
-    xbr_put(dest, s_buff, mine, 1, comm.world_rank(me));
-  }
-  comm.barrier();
-  detail::collective_staging_free(s_buff);
-}
-
-template <class T>
-void linear_gather(T* dest, const T* src, const int* pe_msgs,
-                   const int* pe_disp, std::size_t nelems, int root,
-                   Communicator& comm = world_comm()) {
-  const int vr = detail::collective_prologue(comm, root, /*stride=*/1);
-  const int n = comm.n_pes();
-  const int me = comm.rank();
-  const auto adj = detail::adjusted_displacements(comm, pe_msgs, root);
-  XBGAS_CHECK(adj[static_cast<std::size_t>(n)] == nelems,
-              "linear_gather: sum(pe_msgs) must equal nelems");
-
-  std::size_t maxc = 0;
-  for (int r = 0; r < n; ++r) {
-    maxc = std::max(maxc, static_cast<std::size_t>(pe_msgs[r]));
-  }
-  T* s_buff = static_cast<T*>(
-      detail::collective_staging_alloc(sizeof(T), std::max<std::size_t>(maxc, 1)));
-
-  const auto mine = static_cast<std::size_t>(pe_msgs[me]);
-  if (mine > 0) {
-    xbr_put(s_buff, src, mine, 1, comm.world_rank(me));
-  }
-  comm.barrier();
-
-  if (vr == 0) {
-    for (int v = 0; v < n; ++v) {
-      const int lr = logical_rank(v, root, n);
-      const auto count = static_cast<std::size_t>(pe_msgs[lr]);
-      if (count > 0) {
-        xbr_get(dest + pe_disp[lr], s_buff, count, 1, comm.world_rank(lr));
-      }
-    }
-  }
-  comm.barrier();
-  detail::collective_staging_free(s_buff);
+  for (std::size_t j = 0; j < nelems && vr == 0; ++j) dest[at(j)] = src[at(j)];
+  std::vector<T> l_buff(vr == 0 ? detail::strided_span(nelems, stride) : 0);
+  PeContext& ctx = xbrtime_ctx();
+  // The stage's barrier: peers may reuse src only after the root is done.
+  detail::knomial_walk(
+      /*top_down=*/false, n, /*radix=*/std::max(n, 2), vr, comm,
+      SchedMode::kBlocking, [&](int peer, int) {
+        xbr_get(l_buff.data(), src, nelems, stride,
+                comm.world_rank(logical_rank(peer, root, n)));
+        for (std::size_t j = 0; j < nelems; ++j) {
+          dest[at(j)] = Op::apply(dest[at(j)], l_buff[at(j)]);
+        }
+        ctx.clock().advance(detail::kReduceOpCycles * nelems);
+      });
+  if (n == 1) comm.barrier();
 }
 
 }  // namespace xbgas

@@ -1,19 +1,23 @@
 #pragma once
 
-// The tree collectives (paper §4, Algorithms 1-4) and the k-nomial executor
-// that runs every tree schedule in the library.
+// The tree collectives (paper §4, Algorithms 1-4), the stage loop every
+// collective schedule in the library runs on, and the k-nomial walk that
+// runs every tree schedule.
 //
 // All four share the same skeleton: fetch n_pes and the calling PE's rank,
 // remap to virtual ranks so the root is virtual rank 0 (vrank.hpp), then
-// run the tree's stages with a barrier after every stage. Broadcast and
+// run the tree's stages with a barrier after every stage. That skeleton is
+// written once: detail::run_stages is the stage loop (stage events, the
+// PE's hops, the closing barrier), and detail::knomial_walk hands each of
+// the calling PE's own k-nomial edges to a per-collective hop. Broadcast and
 // scatter walk the tree top-down with put; reduce and gather walk it
-// bottom-up with get. Broadcast and reduce (Algorithms 1-2) are the radix-2
-// instance of the k-nomial executor below, whose radix-2 edges are exactly
-// the paper's ceil(log2 n) masked stages (tests/collectives/schedule_test
-// derives them from the mask recurrence). Scatter and gather (Algorithms
-// 3-4) keep the paper's mask loop: each stage moves one subtree's slice of
-// a virtually reordered buffer. The `vir_rank < vir_part` guard suppresses
-// the phantom partners that appear when n_pes is not a power of two.
+// bottom-up with get. Algorithms 1-4 are the radix-2 walk, whose edges are
+// exactly the paper's ceil(log2 n) masked stages (tests/collectives/
+// schedule_test derives them from the mask recurrence); edges to virtual
+// ranks >= n_pes are never generated, which is what the paper's
+// `vir_rank < vir_part` guard achieves when n_pes is not a power of two.
+// Scatter and gather move one subtree's slice of a virtually reordered
+// buffer per edge.
 //
 // Symmetry requirements (paper §4.3-§4.6):
 //   broadcast: dest symmetric on every PE; src meaningful (and possibly
@@ -24,20 +28,20 @@
 //              is overwritten.
 //   scatter:   src meaningful only on root; dest private OK. Staged through
 //              a symmetric buffer reordered by *virtual* rank so that every
-//              subtree's data is contiguous and one put per stage suffices
+//              subtree's data is contiguous and one put per edge suffices
 //              even with a non-zero root (§4.5).
 //   gather:    mirror of scatter (§4.6).
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "collectives/comm.hpp"
 #include "collectives/ops.hpp"
 #include "collectives/schedule.hpp"
 #include "collectives/vrank.hpp"
-#include "common/bits.hpp"
 #include "common/error.hpp"
 #include "xbrtime/rma.hpp"
 
@@ -190,12 +194,57 @@ void hop_get(SchedMode mode, T* dest, const T* src, std::size_t nelems,
 }
 
 // ---------------------------------------------------------------------------
-// The k-nomial executor (any radix, any Communicator)
+// The stage loop and the k-nomial walk (any radix, any Communicator)
 // ---------------------------------------------------------------------------
-//
-// Each PE computes only its own edges (knomial_broadcast_sends /
-// knomial_reduce_pulls) and walks the stages in order. kStageBegin and
-// kStageEnd carry a = stage index, b = radix.
+
+/// The stage loop every collective schedule runs on. Stage s records
+/// kStageBegin (a = s, b = `b`), issues the calling PE's hops for the stage
+/// (`hops(s)`), closes the stage with a barrier over `comm` and records
+/// kStageEnd. A kDeferred schedule leaves its last barrier to CollReq::wait,
+/// so only a deferred schedule with at least one stage returns a live
+/// request. Trees pass b = radix, rings b = 0.
+template <class Hops>
+CollReq run_stages(Communicator& comm, int stages, int b, SchedMode mode,
+                   Hops&& hops) {
+  PeContext& ctx = xbrtime_ctx();
+  const bool defer = mode == SchedMode::kDeferred;
+  for (int s = 0; s < stages; ++s) {
+    ctx.trace().record(EventKind::kStageBegin, -1,
+                       static_cast<std::uint64_t>(s),
+                       static_cast<std::uint64_t>(b));
+    hops(s);
+    if (!(defer && s == stages - 1)) comm.barrier();
+    ctx.trace().record(EventKind::kStageEnd, -1,
+                       static_cast<std::uint64_t>(s),
+                       static_cast<std::uint64_t>(b));
+  }
+  return defer && stages > 0 ? CollReq{&comm} : CollReq{};
+}
+
+/// The k-nomial walk: runs the radix-`radix` tree over `n` virtual ranks on
+/// run_stages and calls `hop(peer_vrank, width)` once per edge of the
+/// calling PE (virtual rank `vr`), in order. Top-down the edges are the
+/// PE's knomial_broadcast_sends and `width` = radix^(stages-1-s), the
+/// width of the receiver's subtree; bottom-up they are its
+/// knomial_reduce_pulls and `width` = radix^s, the width the child has
+/// accumulated. Subtrees are clipped at n by the hop.
+template <class Hop>
+CollReq knomial_walk(bool top_down, int n, int radix, int vr,
+                     Communicator& comm, SchedMode mode, Hop&& hop) {
+  const auto edges = top_down ? knomial_broadcast_sends(n, radix, vr)
+                              : knomial_reduce_pulls(n, radix, vr);
+  const int stages = knomial_stages(n, radix);
+  long long width = 1;
+  for (int s = 1; top_down && s < stages; ++s) width *= radix;
+  std::size_t e = 0;
+  return run_stages(comm, stages, radix, mode, [&](int s) {
+    for (; e < edges.size() && edges[e].stage == s; ++e) {
+      hop(top_down ? edges[e].to_vrank : edges[e].from_vrank,
+          static_cast<int>(width));
+    }
+    width = top_down ? width / radix : width * radix;
+  });
+}
 
 /// Top-down k-nomial broadcast over `comm` with the xbgas::broadcast
 /// contract. In kDeferred mode the final stage's transfers are left
@@ -213,33 +262,15 @@ CollReq knomial_broadcast(T* dest, const T* src, std::size_t nelems,
   if (vr == 0 && nelems > 0 && dest != src) {
     xbr_put(dest, src, nelems, stride, comm.world_rank(comm.rank()));
   }
-  if (n == 1) return CollReq{};
-
-  PeContext& ctx = xbrtime_ctx();
-  const auto sends = knomial_broadcast_sends(n, radix, vr);
-  const int stages = knomial_stages(n, radix);
-  const bool defer = mode == SchedMode::kDeferred;
-  std::size_t e = 0;
-  for (int s = 0; s < stages; ++s) {
-    ctx.trace().record(EventKind::kStageBegin, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-    for (; e < sends.size() && sends[e].stage == s; ++e) {
-      if (nelems == 0) continue;
-      const int lpart = logical_rank(sends[e].to_vrank, root, n);
-      // The root sends straight from src; later senders forward from dest.
-      const T* from = (vr == 0) ? src : dest;
-      hop_put(mode, dest, from, nelems, stride, comm.world_rank(lpart),
-              chunk);
-    }
-    // Per-stage synchronization (paper §4.3); a deferred schedule leaves
-    // the final fence to CollReq::wait.
-    if (!(defer && s == stages - 1)) comm.barrier();
-    ctx.trace().record(EventKind::kStageEnd, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-  }
-  return defer ? CollReq{&comm} : CollReq{};
+  // The root sends straight from src; later senders forward from dest.
+  const T* from = (vr == 0) ? src : dest;
+  return knomial_walk(/*top_down=*/true, n, radix, vr, comm, mode,
+                      [&](int to, int) {
+                        if (nelems == 0) return;
+                        hop_put(mode, dest, from, nelems, stride,
+                                comm.world_rank(logical_rank(to, root, n)),
+                                chunk);
+                      });
 }
 
 /// Bottom-up k-nomial reduction over a symmetric CONTIGUOUS partial buffer
@@ -256,32 +287,18 @@ void knomial_reduce_part(T* part, std::size_t nelems, int root, int radix,
   const int vr = collective_prologue(comm, root, /*stride=*/1);
   const int n = comm.n_pes();
   comm.barrier();  // all parts settled before any parent pulls
-  if (n == 1) return;
-
   PeContext& ctx = xbrtime_ctx();
   std::vector<T> land(nelems);
-  const auto pulls = knomial_reduce_pulls(n, radix, vr);
-  const int stages = knomial_stages(n, radix);
-  std::size_t e = 0;
-  for (int s = 0; s < stages; ++s) {
-    ctx.trace().record(EventKind::kStageBegin, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-    for (; e < pulls.size() && pulls[e].stage == s; ++e) {
-      if (nelems == 0) continue;
-      const int lpart = logical_rank(pulls[e].from_vrank, root, n);
-      hop_get(mode, land.data(), part, nelems, 1, comm.world_rank(lpart),
-              chunk);
-      for (std::size_t j = 0; j < nelems; ++j) {
-        part[j] = Op::apply(part[j], land[j]);
-      }
-      ctx.clock().advance(kReduceOpCycles * nelems);
-    }
-    comm.barrier();  // parent's combined part visible to the next stage
-    ctx.trace().record(EventKind::kStageEnd, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-  }
+  knomial_walk(/*top_down=*/false, n, radix, vr, comm, fenced(mode),
+               [&](int child, int) {
+                 if (nelems == 0) return;
+                 hop_get(mode, land.data(), part, nelems, 1,
+                         comm.world_rank(logical_rank(child, root, n)), chunk);
+                 for (std::size_t j = 0; j < nelems; ++j) {
+                   part[j] = Op::apply(part[j], land[j]);
+                 }
+                 ctx.clock().advance(kReduceOpCycles * nelems);
+               });
 }
 
 /// k-nomial reduction with the xbgas::reduce contract (dest meaningful on
@@ -316,38 +333,27 @@ template <class T>
 void knomial_gather_blocks(T* dest, std::size_t per, int start, int sub,
                            int radix, Communicator& comm) {
   const int m = comm.n_pes();
-  const int vr = comm.rank();  // rooted at team rank 0: no vrank remap
   comm.barrier();  // lower-level accumulations settled before pulls
-  if (m == 1) return;
+  // Rooted at team rank 0: no vrank remap.
+  knomial_walk(/*top_down=*/false, m, radix, comm.rank(), comm,
+               SchedMode::kBlocking, [&](int child, int width) {
+                 if (per == 0) return;
+                 const auto blocks = static_cast<std::size_t>(
+                     std::min(width, m - child) * sub);
+                 const std::size_t off =
+                     static_cast<std::size_t>(start + child * sub) * per;
+                 xbr_get(dest + off, dest + off, blocks * per, 1,
+                         comm.world_rank(child));
+               });
+}
 
-  PeContext& ctx = xbrtime_ctx();
-  const auto pulls = knomial_reduce_pulls(m, radix, vr);
-  const int stages = knomial_stages(m, radix);
-  std::size_t e = 0;
-  long long width = 1;  // accumulated subtree width (team ranks) at stage s
-  for (int s = 0; s < stages; ++s) {
-    ctx.trace().record(EventKind::kStageBegin, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-    for (; e < pulls.size() && pulls[e].stage == s; ++e) {
-      if (per == 0) continue;
-      const int child = pulls[e].from_vrank;
-      const long long got = std::min<long long>(width, m - child);
-      const std::size_t off =
-          (static_cast<std::size_t>(start) +
-           static_cast<std::size_t>(child) * static_cast<std::size_t>(sub)) *
-          per;
-      xbr_get(dest + off, dest + off,
-              static_cast<std::size_t>(got) * static_cast<std::size_t>(sub) *
-                  per,
-              1, comm.world_rank(child));
-    }
-    comm.barrier();
-    width *= radix;
-    ctx.trace().record(EventKind::kStageEnd, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-  }
+/// The element range [lo, hi) of the virtually reordered staging buffer
+/// that holds the subtree of virtual ranks [v, min(v + width, n)) — what
+/// one scatter or gather edge moves.
+inline std::pair<std::size_t, std::size_t> subtree_span(
+    const std::vector<std::size_t>& adj, int v, int width, int n) {
+  return {adj[static_cast<std::size_t>(v)],
+          adj[static_cast<std::size_t>(std::min(v + width, n))]};
 }
 
 }  // namespace detail
@@ -370,29 +376,9 @@ void reduce(T* dest, const T* src, std::size_t nelems, int stride, int root,
                              comm);
 }
 
-template <class T>
-void reduce_sum(T* dest, const T* src, std::size_t nelems, int stride,
-                int root, Communicator& comm = world_comm()) {
-  reduce<OpSum>(dest, src, nelems, stride, root, comm);
-}
-template <class T>
-void reduce_prod(T* dest, const T* src, std::size_t nelems, int stride,
-                 int root, Communicator& comm = world_comm()) {
-  reduce<OpProd>(dest, src, nelems, stride, root, comm);
-}
-template <class T>
-void reduce_min(T* dest, const T* src, std::size_t nelems, int stride,
-                int root, Communicator& comm = world_comm()) {
-  reduce<OpMin>(dest, src, nelems, stride, root, comm);
-}
-template <class T>
-void reduce_max(T* dest, const T* src, std::size_t nelems, int stride,
-                int root, Communicator& comm = world_comm()) {
-  reduce<OpMax>(dest, src, nelems, stride, root, comm);
-}
-
 // ---------------------------------------------------------------------------
-// Scatter (Algorithm 3)
+// Scatter (Algorithm 3) and gather (Algorithm 4): the radix-2 walk over a
+// virtually reordered staging buffer
 // ---------------------------------------------------------------------------
 
 template <class T>
@@ -412,7 +398,7 @@ void scatter(T* dest, const T* src, const int* pe_msgs, const int* pe_disp,
 
   if (vr == 0) {
     // Reorder src by *virtual* rank so each subtree's data is contiguous and
-    // a single put per stage suffices even for non-zero roots (§4.5).
+    // a single put per edge suffices even for non-zero roots (§4.5).
     for (int v = 0; v < n; ++v) {
       const int lr = logical_rank(v, root, n);
       const auto count = static_cast<std::size_t>(pe_msgs[lr]);
@@ -424,36 +410,16 @@ void scatter(T* dest, const T* src, const int* pe_msgs, const int* pe_disp,
   }
   comm.barrier();
 
-  PeContext& ctx = xbrtime_ctx();
-  const auto levels = ceil_log2(static_cast<std::uint64_t>(n));
-  unsigned mask = (1u << levels) - 1u;
-  const auto uvr = static_cast<unsigned>(vr);
-  std::uint64_t stage = 0;
-  for (int i = static_cast<int>(levels) - 1; i >= 0; --i) {
-    mask ^= (1u << i);
-    ctx.trace().record(EventKind::kStageBegin, -1, stage, mask);
-    if ((uvr & mask) == 0 && (uvr & (1u << i)) == 0) {
-      const int vpart = static_cast<int>(uvr ^ (1u << i)) % n;
-      const int lpart = logical_rank(vpart, root, n);
-      if (vr < vpart) {
-        // Partner's subtree at this stage: virtual ranks
-        // [vpart, min(vpart + 2^i, n)).
-        const auto hi = std::min<std::size_t>(
-            static_cast<std::size_t>(vpart) + (std::size_t{1} << i),
-            static_cast<std::size_t>(n));
-        const std::size_t msg_size =
-            adj[hi] - adj[static_cast<std::size_t>(vpart)];
-        if (msg_size > 0) {
-          xbr_put(s_buff + adj[static_cast<std::size_t>(vpart)],
-                  s_buff + adj[static_cast<std::size_t>(vpart)],
-                  msg_size, 1, comm.world_rank(lpart));
+  // Each edge puts the receiver's whole subtree slice.
+  detail::knomial_walk(
+      /*top_down=*/true, n, /*radix=*/2, vr, comm, SchedMode::kBlocking,
+      [&](int to, int width) {
+        const auto [lo, hi] = detail::subtree_span(adj, to, width, n);
+        if (hi > lo) {
+          xbr_put(s_buff + lo, s_buff + lo, hi - lo, 1,
+                  comm.world_rank(logical_rank(to, root, n)));
         }
-      }
-    }
-    comm.barrier();
-    ctx.trace().record(EventKind::kStageEnd, -1, stage, mask);
-    ++stage;
-  }
+      });
 
   // Relocate this PE's assigned values from the staging buffer to dest.
   const auto mine = static_cast<std::size_t>(pe_msgs[me]);
@@ -463,10 +429,6 @@ void scatter(T* dest, const T* src, const int* pe_msgs, const int* pe_disp,
   }
   detail::collective_staging_free(s_buff);
 }
-
-// ---------------------------------------------------------------------------
-// Gather (Algorithm 4)
-// ---------------------------------------------------------------------------
 
 template <class T>
 void gather(T* dest, const T* src, const int* pe_msgs, const int* pe_disp,
@@ -491,34 +453,16 @@ void gather(T* dest, const T* src, const int* pe_msgs, const int* pe_disp,
   }
   comm.barrier();
 
-  PeContext& ctx = xbrtime_ctx();
-  const auto levels = ceil_log2(static_cast<std::uint64_t>(n));
-  unsigned mask = (1u << levels) - 1u;
-  const auto uvr = static_cast<unsigned>(vr);
-  for (unsigned i = 0; i < levels; ++i) {
-    mask ^= (1u << i);
-    ctx.trace().record(EventKind::kStageBegin, -1, i, mask);
-    if ((uvr | mask) == mask && (uvr & (1u << i)) == 0) {
-      const int vpart = static_cast<int>(uvr ^ (1u << i)) % n;
-      const int lpart = logical_rank(vpart, root, n);
-      if (vr < vpart) {
-        // Partner has accumulated its full subtree [vpart, vpart + 2^i)
-        // during earlier stages; pull it in one get.
-        const auto hi = std::min<std::size_t>(
-            static_cast<std::size_t>(vpart) + (std::size_t{1} << i),
-            static_cast<std::size_t>(n));
-        const std::size_t msg_size =
-            adj[hi] - adj[static_cast<std::size_t>(vpart)];
-        if (msg_size > 0) {
-          xbr_get(s_buff + adj[static_cast<std::size_t>(vpart)],
-                  s_buff + adj[static_cast<std::size_t>(vpart)],
-                  msg_size, 1, comm.world_rank(lpart));
+  // Each edge pulls the subtree the child accumulated in earlier stages.
+  detail::knomial_walk(
+      /*top_down=*/false, n, /*radix=*/2, vr, comm, SchedMode::kBlocking,
+      [&](int child, int width) {
+        const auto [lo, hi] = detail::subtree_span(adj, child, width, n);
+        if (hi > lo) {
+          xbr_get(s_buff + lo, s_buff + lo, hi - lo, 1,
+                  comm.world_rank(logical_rank(child, root, n)));
         }
-      }
-    }
-    comm.barrier();
-    ctx.trace().record(EventKind::kStageEnd, -1, i, mask);
-  }
+      });
 
   if (vr == 0) {
     // Reorder from virtual-rank order back to logical-rank displacements.

@@ -36,12 +36,6 @@ void reduce_all(T* dest, const T* src, std::size_t nelems, int stride,
   dispatch_reduce_all<Op>(dest, src, nelems, stride, comm);
 }
 
-template <class T>
-void reduce_all_sum(T* dest, const T* src, std::size_t nelems, int stride,
-                    Communicator& comm = world_comm()) {
-  reduce_all<OpSum>(dest, src, nelems, stride, comm);
-}
-
 /// Variable-count gather-to-all (OpenSHMEM `collect`): every PE contributes
 /// pe_msgs[rank] elements from src; every PE's symmetric `dest` receives the
 /// full concatenation laid out by pe_disp.

@@ -1,9 +1,9 @@
 #pragma once
 
-// Multi-level hierarchical collectives — the generalization of the old
-// two-level hierarchical.hpp to an arbitrary-depth level stack (paper §7:
-// "location aware communication optimization using the xBGAS OLB",
-// following XHC-OpenMPI's per-level design).
+// Multi-level hierarchical collectives: an arbitrary-depth level stack
+// (paper §7: "location aware communication optimization using the xBGAS
+// OLB", following XHC-OpenMPI's per-level design). A two-level broadcast is
+// hier_broadcast with HierShape{{group}, 2, 0}.
 //
 // A HierShape is a strictly-ascending divisibility chain of group widths
 // [g_0 < g_1 < ... < g_top], each dividing the next and g_top dividing (and
@@ -15,10 +15,10 @@
 //
 // so a broadcast crosses the expensive outer links once per outer group and
 // fans out over progressively cheaper links, and a reduce runs the mirror
-// bottom-up. Every level runs the k-nomial schedule from schedule.hpp with
-// a tunable radix (radix 2 is the paper's binomial tree), and
-// synchronization is scoped to the level's Team — no world barriers, so
-// disjoint subtrees of the hierarchy proceed independently.
+// bottom-up. Every level runs the k-nomial walk (collectives.hpp) with a
+// tunable radix (radix 2 is the paper's binomial tree), and synchronization
+// is scoped to the level's Team — no world barriers, so disjoint subtrees
+// of the hierarchy proceed independently.
 //
 // Happens-before is carried by the Team machinery: the constructor
 // rendezvous plus per-stage team barriers chain transitively through the
@@ -230,27 +230,6 @@ CollReq hier_fcollect(T* dest, const T* src, std::size_t nelems_per_pe,
   }
   return hier_broadcast(dest, dest, total, /*stride=*/1, /*root=*/0, shape,
                         mode);
-}
-
-// ---------------------------------------------------------------------------
-// Legacy two-level entry point (compatibility shim over hier_broadcast)
-// ---------------------------------------------------------------------------
-
-/// Two-level broadcast with the same contract as xbgas::broadcast over the
-/// whole world. `group_size` must divide the world size evenly; 1 or
-/// world-size degrade to the plain binomial tree.
-template <class T>
-void hierarchical_broadcast(T* dest, const T* src, std::size_t nelems,
-                            int stride, int root, int group_size) {
-  const int n = xbrtime_ctx().n_pes();
-  XBGAS_CHECK(group_size >= 1 && n % group_size == 0,
-              "group_size must divide the PE count");
-  if (group_size == 1 || group_size == n) {
-    broadcast(dest, src, nelems, stride, root);
-    return;
-  }
-  hier_broadcast(dest, src, nelems, stride, root,
-                 HierShape{{group_size}, /*radix=*/2, /*chunk=*/0});
 }
 
 }  // namespace xbgas

@@ -234,18 +234,12 @@ bool CollectivePolicy::family_blocked(CollAlgo algo, int n_pes) const {
         if (down(r, (r + 1) % n_pes)) return true;
       }
       return false;
-    case CollAlgo::kTree: {
-      // k-nomial parent edges rooted at 0: rank r's parent clears r's
-      // lowest nonzero base-k digit.
-      const int k = std::max(default_radix_, 2);
-      for (int r = 1; r < n_pes; ++r) {
-        long long place = 1;
-        while ((r / place) % k == 0) place *= k;
-        const int parent = static_cast<int>(r - r % (place * k));
-        if (down(parent, r)) return true;
+    case CollAlgo::kTree:
+      // The k-nomial tree's edges, rooted at 0.
+      for (const TreeEdge& e : knomial_reduce_schedule(n_pes, default_radix_)) {
+        if (down(e.to_vrank, e.from_vrank)) return true;
       }
       return false;
-    }
     default:
       return false;
   }

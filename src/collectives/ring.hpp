@@ -10,10 +10,13 @@
 //                    bandwidth-optimal (each PE moves ~2B bytes total)
 //   ring_allgather   fixed-count gather-to-all, n-1 steps of B/n bytes
 //
-// Broadcast, allreduce and allgather take the SchedMode their caller picked
-// (collectives.hpp): kBlocking moves each hop with xbr_put/xbr_get, the
-// nbi modes with nonblocking transfers, and kDeferred leaves the final
-// step's fence to CollReq::wait where the schedule allows it.
+// Each keeps only its per-step body and runs on the shared stage loop
+// (detail::run_stages in collectives.hpp): one stage per ring step, closed
+// by a barrier, with stage spans b = 0. Broadcast, allreduce and allgather
+// take the SchedMode their caller picked: kBlocking moves each hop with
+// xbr_put/xbr_get, the nbi modes with nonblocking transfers, and kDeferred
+// leaves the final step's fence to CollReq::wait where the schedule allows
+// it.
 //
 // In the segmented forms the message is split into S segments that flow
 // along the virtual-rank chain one hop per step, with all links active once
@@ -63,10 +66,8 @@ CollReq ring_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
                nelems);
   const int next_world =
       vr < n - 1 ? comm.world_rank(logical_rank(vr + 1, root, n)) : -1;
-  const bool defer = mode == SchedMode::kDeferred;
-
   const int total_steps = (n - 2) + static_cast<int>(nseg);
-  for (int step = 0; step < total_steps; ++step) {
+  return detail::run_stages(comm, total_steps, /*b=*/0, mode, [&](int step) {
     // Virtual rank r forwards segment (step - r) this step, if it exists.
     const int s = step - vr;
     if (s >= 0 && s < static_cast<int>(nseg) && vr < n - 1) {
@@ -80,9 +81,7 @@ CollReq ring_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
                         next_world, /*chunk=*/hi - lo);
       }
     }
-    if (!(defer && step == total_steps - 1)) comm.barrier();
-  }
-  return defer ? CollReq{&comm} : CollReq{};
+  });
 }
 
 namespace detail {
@@ -158,7 +157,7 @@ void ring_allreduce(T* dest, const T* src, std::size_t nelems, int stride,
 
   // Reduce-scatter: at step s, pull chunk (me-1-s) from the left neighbour
   // (who finished combining it last step) and fold it into our accumulator.
-  for (int s = 0; s < n - 1; ++s) {
+  detail::run_stages(comm, n - 1, /*b=*/0, detail::fenced(mode), [&](int s) {
     const int c = ((me - 1 - s) % n + n) % n;
     const std::size_t lo = detail::ring_chunk_lo(nelems, n, c);
     const std::size_t hi = detail::ring_chunk_lo(nelems, n, c + 1);
@@ -169,20 +168,18 @@ void ring_allreduce(T* dest, const T* src, std::size_t nelems, int stride,
       }
       ctx.clock().advance(detail::kReduceOpCycles * (hi - lo));
     }
-    comm.barrier();
-  }
+  });
 
   // Allgather: PE r now owns fully-reduced chunk (r+1); at step s, pull
   // chunk (me-s) — acquired by the left neighbour one step earlier.
-  for (int s = 0; s < n - 1; ++s) {
+  detail::run_stages(comm, n - 1, /*b=*/0, detail::fenced(mode), [&](int s) {
     const int c = ((me - s) % n + n) % n;
     const std::size_t lo = detail::ring_chunk_lo(nelems, n, c);
     const std::size_t hi = detail::ring_chunk_lo(nelems, n, c + 1);
     if (hi > lo) {
       detail::hop_get(mode, acc + lo, acc + lo, hi - lo, 1, prev_world);
     }
-    comm.barrier();
-  }
+  });
 
   detail::unpack_strided(dest, acc, nelems, stride);
   detail::collective_staging_free(acc);
@@ -215,14 +212,11 @@ CollReq ring_allgather(T* dest, const T* src, std::size_t nelems_per_pe,
   if (n == 1 || seg == 0) return CollReq{};
 
   const int prev_world = comm.world_rank((me + n - 1) % n);
-  const bool defer = mode == SchedMode::kDeferred;
-  for (int s = 0; s < n - 1; ++s) {
+  return detail::run_stages(comm, n - 1, /*b=*/0, mode, [&](int s) {
     // The left neighbour obtained segment (me-1-s) one step earlier.
     const auto c = static_cast<std::size_t>(((me - 1 - s) % n + n) % n);
     detail::hop_get(mode, dest + c * seg, dest + c * seg, seg, 1, prev_world);
-    if (!(defer && s == n - 2)) comm.barrier();
-  }
-  return defer ? CollReq{&comm} : CollReq{};
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -235,7 +229,8 @@ CollReq ring_allgather(T* dest, const T* src, std::size_t nelems_per_pe,
 /// the forwarder's own values in before passing the partial on. Total steps
 /// (n-2) + S, like ring_broadcast. A double-buffered symmetric landing zone
 /// lets step t+1's put overwrite slot (t+1)%2 while slot t%2 is still being
-/// combined, so one barrier per step suffices.
+/// combined, so one barrier per step suffices: what landed at step t-1 is
+/// folded in at the top of step t, and once more after the last step.
 template <class Op, class T>
 void ring_reduce(T* dest, const T* src, std::size_t nelems, int stride,
                  int root, Communicator& comm = world_comm(),
@@ -269,52 +264,36 @@ void ring_reduce(T* dest, const T* src, std::size_t nelems, int stride,
   const int to_world =
       vr > 0 ? comm.world_rank(logical_rank(vr - 1, root, n)) : -1;
   const auto seg_lo = [&](std::size_t s) { return nelems * s / nseg; };
-
-  const int total_steps = (n - 2) + static_cast<int>(nseg);
-  int pending = -1;  // segment received last step, combined at the top of
-  int pend_slot = 0; // this step — before its slot is overwritten at t+1
-  for (int t = 0; t < total_steps; ++t) {
-    if (pending >= 0) {
-      const std::size_t lo = seg_lo(static_cast<std::size_t>(pending));
-      const std::size_t hi = seg_lo(static_cast<std::size_t>(pending) + 1);
-      for (std::size_t k = 0; k < hi - lo; ++k) {
-        acc[lo + k] = Op::apply(acc[lo + k], land[static_cast<std::size_t>(pend_slot) * max_seg + k]);
-      }
-      ctx.clock().advance(detail::kReduceOpCycles * (hi - lo));
-      pending = -1;
-    }
-    // Virtual rank v forwards segment t - (n-1-v) toward the root — the
-    // one it finished combining above (the tail PE sends its own values).
-    if (vr > 0) {
-      const int s = t - (n - 1 - vr);
-      if (s >= 0 && s < static_cast<int>(nseg)) {
-        const std::size_t lo = seg_lo(static_cast<std::size_t>(s));
-        const std::size_t hi = seg_lo(static_cast<std::size_t>(s) + 1);
-        if (hi > lo) {
-          xbr_put(land + static_cast<std::size_t>(t % 2) * max_seg, acc + lo,
-                  hi - lo, 1, to_world);
-        }
-      }
-    }
-    comm.barrier();
-    if (vr < n - 1) {
-      const int s_in = t - (n - 2 - vr);
-      if (s_in >= 0 && s_in < static_cast<int>(nseg) &&
-          seg_lo(static_cast<std::size_t>(s_in) + 1) >
-              seg_lo(static_cast<std::size_t>(s_in))) {
-        pending = s_in;
-        pend_slot = t % 2;
-      }
-    }
-  }
-  if (pending >= 0) {  // the root's final segment arrives on the last step
-    const std::size_t lo = seg_lo(static_cast<std::size_t>(pending));
-    const std::size_t hi = seg_lo(static_cast<std::size_t>(pending) + 1);
+  // Fold in the segment that landed in slot t%2 at step t, if any.
+  const auto fold = [&](int t) {
+    const int s = t - (n - 2 - vr);
+    if (vr == n - 1 || s < 0 || s >= static_cast<int>(nseg)) return;
+    const std::size_t lo = seg_lo(static_cast<std::size_t>(s));
+    const std::size_t hi = seg_lo(static_cast<std::size_t>(s) + 1);
+    const T* slot = land + static_cast<std::size_t>(t % 2) * max_seg;
     for (std::size_t k = 0; k < hi - lo; ++k) {
-      acc[lo + k] = Op::apply(acc[lo + k], land[static_cast<std::size_t>(pend_slot) * max_seg + k]);
+      acc[lo + k] = Op::apply(acc[lo + k], slot[k]);
     }
     ctx.clock().advance(detail::kReduceOpCycles * (hi - lo));
-  }
+  };
+
+  const int total_steps = (n - 2) + static_cast<int>(nseg);
+  detail::run_stages(comm, total_steps, /*b=*/0, SchedMode::kBlocking,
+                     [&](int t) {
+    fold(t - 1);
+    // Virtual rank v forwards segment t - (n-1-v) toward the root — the
+    // one it finished combining above (the tail PE sends its own values).
+    const int s = t - (n - 1 - vr);
+    if (vr > 0 && s >= 0 && s < static_cast<int>(nseg)) {
+      const std::size_t lo = seg_lo(static_cast<std::size_t>(s));
+      const std::size_t hi = seg_lo(static_cast<std::size_t>(s) + 1);
+      if (hi > lo) {
+        xbr_put(land + static_cast<std::size_t>(t % 2) * max_seg, acc + lo,
+                hi - lo, 1, to_world);
+      }
+    }
+  });
+  fold(total_steps - 1);  // the root's final segment arrives on the last step
 
   if (vr == 0) {
     detail::unpack_strided(dest, acc, nelems, stride);

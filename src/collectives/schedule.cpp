@@ -1,5 +1,7 @@
 #include "collectives/schedule.hpp"
 
+#include <algorithm>
+
 #include "common/bits.hpp"
 #include "common/error.hpp"
 
@@ -22,46 +24,33 @@ int knomial_stages(int n_pes, int radix) {
   return stages;
 }
 
-std::vector<TreeEdge> knomial_broadcast_schedule(int n_pes, int radix) {
-  const int stages = knomial_stages(n_pes, radix);
+namespace {
+
+/// Every vrank's own edges, concatenated and stably sorted by stage: the
+/// full schedule in execution order (stage, then vrank, then j).
+template <class OwnEdges>
+std::vector<TreeEdge> all_edges(int n_pes, int radix, OwnEdges own) {
+  (void)knomial_stages(n_pes, radix);  // validates n_pes and radix
   std::vector<TreeEdge> edges;
-  if (n_pes > 1) edges.reserve(static_cast<std::size_t>(n_pes) - 1);
-  long long step = 1;
-  for (int s = 1; s < stages; ++s) step *= radix;  // radix^(stages-1)
-  for (int s = 0; s < stages; ++s) {
-    const long long span = step * radix;
-    for (long long vr = 0; vr < n_pes; vr += span) {
-      for (int j = 1; j < radix; ++j) {
-        const long long to = vr + j * step;
-        if (to >= n_pes) break;
-        edges.push_back(
-            TreeEdge{s, static_cast<int>(vr), static_cast<int>(to)});
-      }
-    }
-    step /= radix;
+  for (int v = 0; v < n_pes; ++v) {
+    const auto mine = own(n_pes, radix, v);
+    edges.insert(edges.end(), mine.begin(), mine.end());
   }
+  std::stable_sort(edges.begin(), edges.end(),
+                   [](const TreeEdge& a, const TreeEdge& b) {
+                     return a.stage < b.stage;
+                   });
   return edges;
 }
 
+}  // namespace
+
+std::vector<TreeEdge> knomial_broadcast_schedule(int n_pes, int radix) {
+  return all_edges(n_pes, radix, detail::knomial_broadcast_sends);
+}
+
 std::vector<TreeEdge> knomial_reduce_schedule(int n_pes, int radix) {
-  const int stages = knomial_stages(n_pes, radix);
-  std::vector<TreeEdge> edges;
-  if (n_pes > 1) edges.reserve(static_cast<std::size_t>(n_pes) - 1);
-  long long step = 1;
-  for (int s = 0; s < stages; ++s) {
-    const long long span = step * radix;
-    for (long long vr = 0; vr < n_pes; vr += span) {
-      for (int j = 1; j < radix; ++j) {
-        const long long from = vr + j * step;
-        if (from >= n_pes) break;
-        // vr (the parent) pulls from's accumulated subtree via get.
-        edges.push_back(
-            TreeEdge{s, static_cast<int>(from), static_cast<int>(vr)});
-      }
-    }
-    step = span;
-  }
-  return edges;
+  return all_edges(n_pes, radix, detail::knomial_reduce_pulls);
 }
 
 namespace detail {

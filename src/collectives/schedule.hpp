@@ -2,12 +2,15 @@
 
 // Communication-schedule enumeration for k-nomial trees (paper §4.2,
 // Figure 3, generalized to radix k following shcoll's runtime-configurable
-// tree degree). Pure functions of (n_pes, radix): the full edge lists are
-// used by the Figure-3 bench to print the stage-by-stage tree, by tests to
-// assert the edge set, and by the topology ablation (A2) to measure
-// per-stage link load without running data through the runtime. The
-// k-nomial executor (collectives.hpp) asks only for the calling PE's own
-// edges, which cost O(radix * log n) instead of O(n).
+// tree degree). Pure functions of (n_pes, radix). The tree is encoded once,
+// in the per-PE edge functions (detail::knomial_broadcast_sends /
+// knomial_reduce_pulls): the k-nomial walk (collectives.hpp) asks only for
+// the calling PE's own edges, which cost O(radix * log n) instead of O(n),
+// and the full edge lists are every vrank's own edges in execution order.
+// The full lists are used by the Figure-3 bench to print the stage-by-stage
+// tree, by tests to assert the edge set, by the topology ablation (A2) to
+// measure per-stage link load without running data through the runtime,
+// and by the collective policy to find the tree edges a down link cuts.
 //
 // The binomial tree of the paper is exactly the radix-2 special case:
 // broadcast_schedule(n) == knomial_broadcast_schedule(n, 2), edge for edge.

@@ -112,7 +112,7 @@ void validate_fault_config(const FaultConfig& config, int n_pes) {
         "retry would be charged zero modeled time, silently understating the "
         "cost of resilience; use a positive base (default 64)");
   }
-  for (const KillSpec& k : config.all_kills()) check_kill(k, n_pes);
+  for (const KillSpec& k : config.kills) check_kill(k, n_pes);
   if (std::isnan(config.degraded_beta_factor) ||
       config.degraded_beta_factor < 1.0) {
     throw FaultConfigError(

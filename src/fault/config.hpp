@@ -20,7 +20,7 @@
 
 namespace xbgas {
 
-/// Where a scripted PE kill fires (FaultConfig::kill_* / KillSpec).
+/// Where a scripted PE kill fires (KillSpec in FaultConfig::kills).
 enum class KillSite : std::uint8_t {
   kNone,     ///< no scripted kill
   kBarrier,  ///< at the victim's k-th barrier arrival
@@ -122,12 +122,6 @@ struct FaultConfig {
   std::uint64_t agree_timeout_ms = 0;
 
   // -- Scripted PE crashes --
-  /// Legacy single-kill form (kept so existing configs/tests keep working);
-  /// folded into the kill list by all_kills().
-  KillSite kill_site = KillSite::kNone;
-  int kill_rank = -1;        ///< world rank of the victim
-  std::uint64_t kill_at = 1; ///< 1-based: fire at the k-th barrier/RMA
-
   /// Scripted kills, any number of victims/sites (--fault-kill accepts a
   /// comma-separated list). The recovery acceptance scenario — two ranks
   /// dying at distinct points of a 12-PE run — is expressed here.
@@ -145,23 +139,13 @@ struct FaultConfig {
   /// cycles (--fault-link-alpha).
   std::uint64_t degraded_alpha_cycles = 0;
 
-  /// The legacy single-kill fields and the kill list, merged.
-  std::vector<KillSpec> all_kills() const {
-    std::vector<KillSpec> out;
-    if (kill_site != KillSite::kNone) {
-      out.push_back(KillSpec{kill_rank, kill_site, kill_at});
-    }
-    out.insert(out.end(), kills.begin(), kills.end());
-    return out;
-  }
-
   /// True when any injection can ever fire (the hot paths consult this
   /// before touching the injector).
   bool any_faults() const {
     return rma_drop_prob > 0.0 || rma_delay_prob > 0.0 ||
            rma_bitflip_prob > 0.0 || olb_fault_prob > 0.0 ||
            amo_drop_prob > 0.0 || amo_delay_prob > 0.0 ||
-           kill_site != KillSite::kNone || !kills.empty() ||
+           !kills.empty() ||
            !links.empty() || !partitions.empty();
   }
 };

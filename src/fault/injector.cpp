@@ -23,7 +23,7 @@ std::uint64_t stream_seed(std::uint64_t master, int rank, int site) {
 FaultInjector::FaultInjector(const FaultConfig& config, int n_pes)
     : config_(config), enabled_(config.any_faults()) {
   validate_fault_config(config, n_pes);
-  kills_ = config.all_kills();
+  kills_ = config.kills;
   kill_mask_.assign(static_cast<std::size_t>(n_pes), 0);
   for (const KillSpec& k : kills_) {
     kill_mask_[static_cast<std::size_t>(k.rank)] |=

@@ -25,10 +25,10 @@ enum class EventKind : std::uint8_t {
   // b = modeled exchange rounds.
   kBarrierEnter,
   kBarrierExit,
-  // Tree collective stage (paper §4.3-§4.6, Algorithms 1-4).
-  // a = 0-based stage index; b = k-nomial radix for the k-nomial executor
-  // (broadcast, reduce, block gather), current tree mask for scatter and
-  // gather.
+  // Collective schedule stage (paper §4.3-§4.6, Algorithms 1-4), recorded
+  // by the one stage loop. a = 0-based stage (ring: step) index; b = the
+  // k-nomial radix for every tree schedule (2 for Algorithms 1-4, n for the
+  // linear baselines), 0 for the ring schedules.
   kStageBegin,
   kStageEnd,
   // OLB translation outcome (paper §3.2). a = object ID.

@@ -19,33 +19,6 @@ namespace xbgas {
 
 namespace {
 
-/// Cycles for touching [ptr, ptr+bytes) in this PE's local memory. Pointers
-/// outside the arena (ordinary host heap/stack buffers used in tests and
-/// examples) are charged a flat L1-hit cost — they model registers/private
-/// scratch rather than simulated DRAM. Containment goes through
-/// MemoryArena::contains (integer-domain, overflow-safe): most pointers
-/// probed here are *not* arena pointers, where raw relational comparison is
-/// unspecified behavior and `b + bytes` can wrap.
-std::uint64_t local_access_cycles(PeContext& ctx, const void* ptr,
-                                  std::size_t bytes) {
-  const MemoryArena& arena = ctx.arena();
-  if (arena.contains(ptr, bytes)) {
-    // Defined: contains() proved both pointers address the arena array.
-    const auto addr = static_cast<std::uint64_t>(
-        static_cast<const std::byte*>(ptr) - arena.base());
-    return ctx.cache().access(addr, bytes);
-  }
-  return ctx.cache().config().costs.l1_hit_cycles;
-}
-
-/// Per-element issue cost, honouring the unrolling threshold (§3.3).
-std::uint64_t issue_cycles(const NetCostParams& p, std::size_t nelems) {
-  const std::uint64_t per =
-      nelems > p.unroll_threshold ? p.issue_per_element_cycles_unrolled
-                                  : p.issue_per_element_cycles;
-  return per * nelems;
-}
-
 /// Strided element-wise copy; memmove throughout — a local (pe == rank)
 /// transfer may have overlapping src/dst ranges, where per-element memcpy is
 /// undefined behavior even when each element pair happens to be disjoint.
@@ -100,23 +73,6 @@ void copy_elements_atomic(std::byte* dst, const std::byte* src,
 /// bytes on each side of the transfer at cache-line throughput.
 std::uint64_t checksum_cycles(std::size_t bytes) { return (2 * bytes) / 8 + 1; }
 
-/// Count one retry: the counter, the trace event, and the backoff charge
-/// (backoff_cycles in fault/config.hpp — saturating, monotone in attempt).
-std::uint64_t note_retry(PeContext& ctx, FaultInjector& fault, int pe,
-                         int attempt) {
-  fault.counters().rma_retries.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t backoff = backoff_cycles(fault.config(), attempt);
-  ctx.trace().record(EventKind::kRmaRetry, pe,
-                     static_cast<std::uint64_t>(attempt), backoff);
-  return backoff;
-}
-
-void note_fault(PeContext& ctx, int pe, FaultSite site, int attempt) {
-  ctx.trace().record(EventKind::kFaultInject, pe,
-                     static_cast<std::uint64_t>(site),
-                     static_cast<std::uint64_t>(attempt));
-}
-
 /// XbrSan validation of the remote (or local-symmetric) side of a transfer:
 /// bounds + lifetime against the target PE's live allocations, and in full
 /// mode the same-epoch conflict ledger. `sym` is the caller's own symmetric
@@ -136,6 +92,40 @@ void san_check_target(Sanitizer& san, PeContext& ctx, const char* fn,
 }  // namespace
 
 namespace detail {
+
+std::uint64_t local_access_cycles(PeContext& ctx, const void* ptr,
+                                  std::size_t bytes) {
+  const MemoryArena& arena = ctx.arena();
+  if (arena.contains(ptr, bytes)) {
+    // Defined: contains() proved both pointers address the arena array.
+    const auto addr = static_cast<std::uint64_t>(
+        static_cast<const std::byte*>(ptr) - arena.base());
+    return ctx.cache().access(addr, bytes);
+  }
+  return ctx.cache().config().costs.l1_hit_cycles;
+}
+
+std::uint64_t issue_cycles(const NetCostParams& p, std::size_t nelems) {
+  const std::uint64_t per =
+      nelems > p.unroll_threshold ? p.issue_per_element_cycles_unrolled
+                                  : p.issue_per_element_cycles;
+  return per * nelems;
+}
+
+std::uint64_t note_retry(PeContext& ctx, FaultInjector& fault, int pe,
+                         int attempt) {
+  fault.counters().rma_retries.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t backoff = backoff_cycles(fault.config(), attempt);
+  ctx.trace().record(EventKind::kRmaRetry, pe,
+                     static_cast<std::uint64_t>(attempt), backoff);
+  return backoff;
+}
+
+void note_fault(PeContext& ctx, int pe, FaultSite site, int attempt) {
+  ctx.trace().record(EventKind::kFaultInject, pe,
+                     static_cast<std::uint64_t>(site),
+                     static_cast<std::uint64_t>(attempt));
+}
 
 LinkStatus link_attempt_status(PeContext& ctx, int target_pe,
                                std::uint64_t now, int attempt) {

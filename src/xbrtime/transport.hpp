@@ -1,9 +1,11 @@
 #pragma once
 
-// Shared transport-failure plumbing for every bounded-retry loop in the
-// xbrtime layer (rma put/get, remote AMO, write-combiner flush).
+// Shared transport plumbing for every bounded-retry loop in the xbrtime
+// layer (rma put/get, remote AMO, write-combiner flush): the local-side and
+// issue costs a transfer charges, the per-site fault and retry accounting,
+// and the failure path.
 //
-// Two pieces:
+// The failure path has two pieces:
 //
 //  * link_attempt_status — the per-attempt consult of the scripted
 //    link/partition fault plan (LinkFaults), evaluated against the issuing
@@ -20,14 +22,38 @@
 //    blocked PE into the same agree -> shrink recovery a death triggers),
 //    and throws the typed PeUnreachableError instead.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
+#include "fault/injector.hpp"
 #include "machine/machine.hpp"
 #include "net/fabric.hpp"
 
 namespace xbgas {
 namespace detail {
+
+/// Cycles for touching [ptr, ptr+bytes) in this PE's local memory. Pointers
+/// outside the arena (ordinary host heap/stack buffers used in tests and
+/// examples) are charged a flat L1-hit cost — they model registers/private
+/// scratch rather than simulated DRAM. Containment goes through
+/// MemoryArena::contains (integer-domain, overflow-safe): most pointers
+/// probed here are *not* arena pointers, where raw relational comparison is
+/// unspecified behavior and `b + bytes` can wrap.
+std::uint64_t local_access_cycles(PeContext& ctx, const void* ptr,
+                                  std::size_t bytes);
+
+/// Per-element issue cost, honouring the unrolling threshold (§3.3).
+std::uint64_t issue_cycles(const NetCostParams& p, std::size_t nelems);
+
+/// Count one retry: the counter, the trace event, and the backoff charge
+/// (backoff_cycles in fault/config.hpp — saturating, monotone in attempt).
+/// Returns the backoff cycles.
+std::uint64_t note_retry(PeContext& ctx, FaultInjector& fault, int pe,
+                         int attempt);
+
+/// Record the kFaultInject trace event of one injected fault at `site`.
+void note_fault(PeContext& ctx, int pe, FaultSite site, int attempt);
 
 /// Consult the link plan for one transfer attempt from `ctx.rank()` to
 /// `target_pe` at modeled time `now` (clock + accumulated attempt cycles).

@@ -30,19 +30,6 @@ WcCountersAtomic& wc_counters_atomic() {
   return counters;
 }
 
-/// Local-side cache cost for reading the put's source at enqueue time —
-/// the same accounting rma_transfer applies to its local side.
-std::uint64_t wc_local_cycles(PeContext& ctx, const void* ptr,
-                              std::size_t bytes) {
-  const MemoryArena& arena = ctx.arena();
-  if (arena.contains(ptr, bytes)) {
-    const auto addr = static_cast<std::uint64_t>(
-        static_cast<const std::byte*>(ptr) - arena.base());
-    return ctx.cache().access(addr, bytes);
-  }
-  return ctx.cache().config().costs.l1_hit_cycles;
-}
-
 }  // namespace
 
 WcCounters wc_counters() {
@@ -116,13 +103,11 @@ bool wc_try_enqueue(void* dest, const void* src, std::size_t elem_size,
                     &ctx.trace());
   }
 
-  // Enqueue cost: reading the source plus the per-element issue work the
-  // hardware still performs; the per-MESSAGE alpha is what batching saves.
-  const NetCostParams& p = ctx.machine().network().params();
-  const std::uint64_t per_elem = nelems > p.unroll_threshold
-                                     ? p.issue_per_element_cycles_unrolled
-                                     : p.issue_per_element_cycles;
-  ctx.clock().advance(wc_local_cycles(ctx, src, bytes) + per_elem * nelems);
+  // Enqueue cost: reading the source (the same accounting rma_transfer
+  // applies to its local side) plus the per-element issue work the hardware
+  // still performs; the per-MESSAGE alpha is what batching saves.
+  ctx.clock().advance(local_access_cycles(ctx, src, bytes) +
+                      issue_cycles(ctx.machine().network().params(), nelems));
 
   WcTargetBuffer& buf = wc.targets[static_cast<std::size_t>(pe)];
   const std::size_t pos = buf.payload.size();
@@ -182,11 +167,7 @@ void wc_flush_target(PeContext& ctx, int pe) {
                   std::to_string(rank) + " -> " + std::to_string(pe) + ", " +
                   std::to_string(total) + " bytes)");
         }
-        fault.counters().rma_retries.fetch_add(1, std::memory_order_relaxed);
-        const std::uint64_t backoff = backoff_cycles(fc, attempt);
-        ctx.trace().record(EventKind::kRmaRetry, pe,
-                           static_cast<std::uint64_t>(attempt), backoff);
-        cycles += backoff;
+        cycles += note_retry(ctx, fault, pe, attempt);
         continue;
       }
       if (ls == LinkStatus::kDegraded) {
@@ -194,29 +175,32 @@ void wc_flush_target(PeContext& ctx, int pe) {
       }
     }
 
-    if (faults_on && (fault.draw_olb_fault(rank) || fault.draw_rma_drop(rank))) {
-      fault.counters().rma_drops.fetch_add(1, std::memory_order_relaxed);
+    // Translation fault first, then drop: the draw order of rma_transfer,
+    // each fault counted and traced at its own site.
+    const bool olb = faults_on && fault.draw_olb_fault(rank);
+    if (olb || (faults_on && fault.draw_rma_drop(rank))) {
+      (olb ? fault.counters().olb_faults : fault.counters().rma_drops)
+          .fetch_add(1, std::memory_order_relaxed);
+      note_fault(ctx, pe, olb ? FaultSite::kOlbFault : FaultSite::kRmaDrop,
+                 attempt);
       if (attempt >= max_attempts) {
         ctx.clock().advance(cycles);
         buf.entries.clear();
         buf.payload.clear();
         throw_transfer_failed(
             ctx, pe, "wc_flush", attempt,
-            "wc_flush: batched transfer dropped " + std::to_string(attempt) +
+            "wc_flush: batched transfer lost " + std::to_string(attempt) +
                 " times, retries exhausted (PE " + std::to_string(rank) +
                 " -> " + std::to_string(pe) + ", " + std::to_string(total) +
                 " bytes)");
       }
-      fault.counters().rma_retries.fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t backoff = backoff_cycles(fc, attempt);
-      ctx.trace().record(EventKind::kRmaRetry, pe,
-                         static_cast<std::uint64_t>(attempt), backoff);
-      cycles += backoff;
+      cycles += note_retry(ctx, fault, pe, attempt);
       continue;
     }
 
     if (faults_on && fault.draw_rma_delay(rank)) {
       fault.counters().rma_delays.fetch_add(1, std::memory_order_relaxed);
+      note_fault(ctx, pe, FaultSite::kRmaDelay, attempt);
       cycles += fc.delay_cycles;
     }
     break;

@@ -30,7 +30,9 @@
 //
 // Like the word-atomic path, a flushed batch skips the payload-corruption
 // fault stages (bit-flip, checksum): entries land via per-entry header
-// copies whose loss the message-drop site already models.
+// copies whose loss the message-drop site already models. The other sites
+// (OLB fault, drop, delay) draw in rma_transfer's order and are counted and
+// traced per site exactly as a put's are.
 
 #include <cstddef>
 #include <cstdint>

@@ -37,7 +37,7 @@ TEST(ComposedTest, ReduceAllSumConvenience) {
     auto* dest = static_cast<long*>(xbrtime_malloc(sizeof(long)));
     *src = (pe.rank() + 1) * 100;
     xbrtime_barrier();
-    reduce_all_sum(dest, src, 1, 1);
+    reduce_all<OpSum>(dest, src, 1, 1);
     EXPECT_EQ(*dest, 600);
     xbrtime_barrier();
     xbrtime_free(dest);

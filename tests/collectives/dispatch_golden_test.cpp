@@ -12,6 +12,11 @@
 // where 4 divides the PE count and on the flat fabric otherwise (forced
 // hier then degrades to the tree). Both 1 and 4 workers must reproduce the
 // same digests: modeled state does not depend on host scheduling.
+//
+// DispatchGoldenDirectTest pins, the same way, the schedules the dispatcher
+// never reaches: scatter and gather with uneven per-PE counts (zero-count
+// PEs included) at every root, collect, linear_broadcast at stride 3 and
+// linear_reduce at stride 2.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +26,7 @@
 #include <tuple>
 #include <vector>
 
+#include "collectives/baseline.hpp"
 #include "collectives/composed.hpp"
 #include "collectives/nbi.hpp"
 #include "collectives/policy.hpp"
@@ -231,6 +237,144 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(kFamilies[std::get<0>(p.param)].name) + "_n" +
              std::to_string(std::get<1>(p.param));
     });
+
+// ---------------------------------------------------------------------------
+// Schedules called directly: variable-count scatter/gather/collect and the
+// linear baselines
+// ---------------------------------------------------------------------------
+
+struct DirectGolden {
+  int n;
+  std::uint64_t trail;
+  std::uint64_t counters;
+};
+
+// Same contract as kGolden: replace a constant only with the reason.
+constexpr DirectGolden kDirectGolden[] = {
+    {1, 0xe529d8a57f36b52full, 0x70dc9c0675d8fe82ull},
+    {3, 0xb68d4a7a687165d2ull, 0x7a4ce4dcfe5bd956ull},
+    {8, 0xe428331d96e99abeull, 0xccbabcd7f927efc0ull},
+    {12, 0x9bdd28a52fca124eull, 0x3ec21ce424c77d2full},
+};
+
+constexpr int kCountScales[] = {1, 97};
+constexpr std::size_t kDirectSizes[] = {0, 1, 300};
+
+/// Uneven per-PE counts with zero-count PEs (rank 1 mod 5 sends nothing),
+/// laid out in descending-rank order so pe_disp is not the prefix sum.
+void uneven_layout(int n, int scale, std::vector<int>& msgs,
+                   std::vector<int>& disp, std::size_t& total) {
+  msgs.assign(static_cast<std::size_t>(n), 0);
+  disp.assign(static_cast<std::size_t>(n), 0);
+  total = 0;
+  for (int r = n - 1; r >= 0; --r) {
+    msgs[static_cast<std::size_t>(r)] = ((7 * r + 3) % 5) * scale;
+    disp[static_cast<std::size_t>(r)] = static_cast<int>(total);
+    total += static_cast<std::size_t>(msgs[static_cast<std::size_t>(r)]);
+  }
+}
+
+std::uint64_t strided_checksum(const long* buf, std::size_t count,
+                               std::size_t step) {
+  std::uint64_t sum = 0;
+  for (std::size_t j = 0; j < count; ++j) {
+    sum = sum * 31 + static_cast<std::uint64_t>(buf[j * step]);
+  }
+  return sum;
+}
+
+void run_direct_cases(PeContext& pe, std::vector<std::uint64_t>& trail) {
+  const int n = pe.n_pes();
+  const int me = pe.rank();
+  auto* dest = static_cast<long*>(xbrtime_malloc(kDestElems * sizeof(long)));
+  auto* src = static_cast<long*>(xbrtime_malloc(kSrcElems * sizeof(long)));
+  for (std::size_t i = 0; i < kSrcElems; ++i) {
+    src[i] = static_cast<long>(me) * 7919 + static_cast<long>(i) + 1;
+  }
+  const auto record = [&](std::uint64_t checksum) {
+    trail.push_back(pe.clock().cycles());
+    trail.push_back(checksum);
+  };
+  const auto fresh = [&] {
+    std::fill(dest, dest + kDestElems, -1L);
+    xbrtime_barrier();
+  };
+
+  std::vector<int> msgs, disp;
+  std::size_t total = 0;
+  for (const int scale : kCountScales) {
+    uneven_layout(n, scale, msgs, disp, total);
+    const auto mine = static_cast<std::size_t>(msgs[static_cast<std::size_t>(me)]);
+    for (int root = 0; root < n; ++root) {
+      fresh();
+      scatter(dest, src, msgs.data(), disp.data(), total, root);
+      record(strided_checksum(dest, mine, 1));
+      fresh();
+      gather(dest, src, msgs.data(), disp.data(), total, root);
+      record(me == root ? strided_checksum(dest, total, 1) : 0);
+    }
+    fresh();
+    collect(dest, src, msgs.data(), disp.data(), total);
+    record(strided_checksum(dest, total, 1));
+  }
+  for (const std::size_t size : kDirectSizes) {
+    for (int root = 0; root < n; ++root) {
+      fresh();
+      linear_broadcast(dest, src, size, /*stride=*/3, root);
+      record(strided_checksum(dest, size, 3));
+      fresh();
+      linear_reduce<OpSum>(dest, src, size, /*stride=*/2, root);
+      record(me == root ? strided_checksum(dest, size, 2) : 0);
+    }
+  }
+  xbrtime_barrier();
+  xbrtime_free(src);
+  xbrtime_free(dest);
+}
+
+Outcome run_direct(int n, int workers) {
+  MachineConfig config = testing::test_config(n);
+  config.layout.shared_bytes = std::size_t{2} << 20;
+  config.sched.workers = workers;
+  Machine machine(config);
+  std::vector<std::vector<std::uint64_t>> trails(static_cast<std::size_t>(n));
+  machine.run([&](PeContext& pe) {
+    xbrtime_init();
+    run_direct_cases(pe, trails[static_cast<std::size_t>(pe.rank())]);
+    xbrtime_close();
+  });
+  Digest trail;
+  for (const auto& t : trails) {
+    for (const std::uint64_t v : t) trail.add(v);
+  }
+  Digest counters;
+  counters.add(testing::modeled_counters(machine).json());
+  return Outcome{trail.value(), counters.value()};
+}
+
+class DispatchGoldenDirectTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(DispatchGoldenDirectTest, ModeledCostMatchesGolden) {
+  const int n = GetParam();
+  const DirectGolden* golden = nullptr;
+  for (const DirectGolden& g : kDirectGolden) {
+    if (g.n == n) golden = &g;
+  }
+  for (const int workers : {1, 4}) {
+    const Outcome got = run_direct(n, workers);
+    const bool match = golden != nullptr && got.trail == golden->trail &&
+                       got.counters == golden->counters;
+    EXPECT_TRUE(match) << "workers=" << workers << "; measured entry:\n"
+                       << "    {" << n << ", 0x" << std::hex << got.trail
+                       << "ull, 0x" << got.counters << "ull},";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedules, DispatchGoldenDirectTest,
+                         ::testing::ValuesIn(kPeCounts),
+                         [](const ::testing::TestParamInfo<int>& p) {
+                           return "n" + std::to_string(p.param);
+                         });
 
 }  // namespace
 }  // namespace xbgas

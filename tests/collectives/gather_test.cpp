@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "collectives/api_c.hpp"
-#include "collectives/baseline.hpp"
 #include "collectives/collectives.hpp"
 #include "helpers.hpp"
 
@@ -116,31 +115,6 @@ TEST(GatherTest, ScatterThenGatherIsIdentity) {
       xbrtime_barrier();
     });
   }
-}
-
-TEST(GatherTest, MatchesLinearBaseline) {
-  run_spmd(6, [&](PeContext& pe) {
-    const int n = 6;
-    std::vector<int> msgs{1, 2, 3, 1, 2, 3};
-    std::vector<int> disp(static_cast<std::size_t>(n));
-    std::exclusive_scan(msgs.begin(), msgs.end(), disp.begin(), 0);
-    const std::size_t total = 12;
-    const auto mine =
-        static_cast<std::size_t>(msgs[static_cast<std::size_t>(pe.rank())]);
-    std::vector<int> src(std::max<std::size_t>(mine, 1));
-    for (std::size_t i = 0; i < mine; ++i) {
-      src[i] = pe.rank() * 10 + static_cast<int>(i);
-    }
-    std::vector<int> via_tree(total), via_linear(total);
-    xbrtime_barrier();
-    gather(via_tree.data(), src.data(), msgs.data(), disp.data(), total, 2);
-    linear_gather(via_linear.data(), src.data(), msgs.data(), disp.data(),
-                  total, 2);
-    if (pe.rank() == 2) {
-      EXPECT_EQ(via_tree, via_linear);
-    }
-    xbrtime_barrier();
-  });
 }
 
 TEST(GatherTest, SumMismatchThrows) {

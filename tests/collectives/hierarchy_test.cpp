@@ -138,7 +138,7 @@ TEST(HierarchyEngineTest, RejectsBadShapes) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy two-level shim (hierarchical_broadcast) keeps its old contract.
+// Two-level broadcast: hier_broadcast with one group level.
 // ---------------------------------------------------------------------------
 
 void check_hierarchical(int n, int root, int group_size, std::size_t nelems) {
@@ -151,7 +151,8 @@ void check_hierarchical(int n, int root, int group_size, std::size_t nelems) {
       src[i] = root * 1000 + static_cast<long>(i);
     }
     xbrtime_barrier();
-    hierarchical_broadcast(dest, src.data(), nelems, 1, root, group_size);
+    hier_broadcast(dest, src.data(), nelems, 1, root,
+                   HierShape{{group_size}, /*radix=*/2, /*chunk=*/0});
     for (std::size_t i = 0; i < nelems; ++i) {
       EXPECT_EQ(dest[i], root * 1000 + static_cast<long>(i))
           << "pe=" << pe.rank() << " n=" << n << " root=" << root
@@ -191,11 +192,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(tpi.param));
     });
 
-TEST(HierarchicalBroadcastTest, DegenerateGroupSizes) {
-  check_hierarchical(6, 2, 1, 8);  // == plain tree
-  check_hierarchical(6, 2, 6, 8);  // one group == plain tree
-}
-
 TEST(HierarchicalBroadcastTest, ZeroElements) {
   check_hierarchical(8, 3, 4, 0);
 }
@@ -206,7 +202,7 @@ TEST(HierarchicalBroadcastTest, RejectsIndivisibleGroups) {
                  xbrtime_init();
                  auto* d = static_cast<int*>(xbrtime_malloc(16));
                  int s = 0;
-                 hierarchical_broadcast(d, &s, 1, 1, 0, 4);
+                 hier_broadcast(d, &s, 1, 1, 0, HierShape{{4}, 2, 0});
                }),
                Error);
 }
@@ -223,6 +219,7 @@ TEST(HierarchicalBroadcastTest, FewerInterNodeTransfersThanFlatTree) {
   config.net.fabric_message_cycles = 0;
   config.net.fabric_bytes_per_cycle = 1e9;
   Machine machine(config);
+  const HierShape two_level{{4}, /*radix=*/2, /*chunk=*/0};
   std::uint64_t flat_cycles = 0, hier_cycles = 0;
   machine.run([&](PeContext& pe) {
     xbrtime_init();
@@ -232,14 +229,14 @@ TEST(HierarchicalBroadcastTest, FewerInterNodeTransfersThanFlatTree) {
     // Warm both forwarding sets.
     broadcast(buf, src.data(), 256, 1, /*root=*/3);
     xbrtime_barrier();
-    hierarchical_broadcast(buf, src.data(), 256, 1, /*root=*/3, 4);
+    hier_broadcast(buf, src.data(), 256, 1, /*root=*/3, two_level);
     xbrtime_barrier();
 
     const std::uint64_t t0 = pe.clock().cycles();
     broadcast(buf, src.data(), 256, 1, /*root=*/3);
     xbrtime_barrier();
     const std::uint64_t t1 = pe.clock().cycles();
-    hierarchical_broadcast(buf, src.data(), 256, 1, /*root=*/3, 4);
+    hier_broadcast(buf, src.data(), 256, 1, /*root=*/3, two_level);
     xbrtime_barrier();
     const std::uint64_t t2 = pe.clock().cycles();
     if (pe.rank() == 0) {

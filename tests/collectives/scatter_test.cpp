@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "collectives/api_c.hpp"
-#include "collectives/baseline.hpp"
 #include "collectives/collectives.hpp"
 #include "helpers.hpp"
 
@@ -78,30 +77,6 @@ TEST(ScatterTest, NonZeroRootNonContiguousSubtrees) {
   // The paper's §4.5 worked example: 7 PEs, root 4 — virtual-rank
   // reordering must keep subtree data contiguous.
   check_scatter(7, 4, {2, 3, 1, 4, 2, 5, 3});
-}
-
-TEST(ScatterTest, MatchesLinearBaseline) {
-  for (const int n : {3, 6}) {
-    run_spmd(n, [&](PeContext& pe) {
-      std::vector<int> msgs(static_cast<std::size_t>(n));
-      std::vector<int> disp(static_cast<std::size_t>(n));
-      for (int r = 0; r < n; ++r) msgs[static_cast<std::size_t>(r)] = r + 1;
-      std::exclusive_scan(msgs.begin(), msgs.end(), disp.begin(), 0);
-      const auto total = static_cast<std::size_t>(n * (n + 1) / 2);
-      std::vector<int> src(total);
-      std::iota(src.begin(), src.end(), 0);
-      const auto mine =
-          static_cast<std::size_t>(msgs[static_cast<std::size_t>(pe.rank())]);
-      std::vector<int> via_tree(mine), via_linear(mine);
-
-      xbrtime_barrier();
-      scatter(via_tree.data(), src.data(), msgs.data(), disp.data(), total, 1);
-      linear_scatter(via_linear.data(), src.data(), msgs.data(), disp.data(),
-                     total, 1);
-      EXPECT_EQ(via_tree, via_linear);
-      xbrtime_barrier();
-    });
-  }
 }
 
 TEST(ScatterTest, SumMismatchThrows) {

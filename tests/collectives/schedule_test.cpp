@@ -171,11 +171,50 @@ TEST(KnomialScheduleTest, RadixTwoReproducesBinomialEdgeForEdge) {
   }
 }
 
+// The k-nomial tree level by level, sweeping every holder (broadcast) or
+// parent (reduce) vrank per stage (an independent reference: the library
+// builds the full schedules from the per-PE edges).
+std::vector<TreeEdge> level_broadcast_edges(int n, int radix) {
+  const int stages = knomial_stages(n, radix);
+  std::vector<TreeEdge> edges;
+  long long step = 1;
+  for (int s = 1; s < stages; ++s) step *= radix;
+  for (int s = 0; s < stages; ++s, step /= radix) {
+    for (long long v = 0; v < n; v += step * radix) {
+      for (long long to = v + step; to < v + step * radix && to < n;
+           to += step) {
+        edges.push_back(TreeEdge{s, static_cast<int>(v), static_cast<int>(to)});
+      }
+    }
+  }
+  return edges;
+}
+
+std::vector<TreeEdge> level_reduce_edges(int n, int radix) {
+  const int stages = knomial_stages(n, radix);
+  std::vector<TreeEdge> edges;
+  long long step = 1;
+  for (int s = 0; s < stages; ++s, step *= radix) {
+    for (long long v = 0; v < n; v += step * radix) {
+      for (long long from = v + step; from < v + step * radix && from < n;
+           from += step) {
+        edges.push_back(
+            TreeEdge{s, static_cast<int>(from), static_cast<int>(v)});
+      }
+    }
+  }
+  return edges;
+}
+
 TEST(KnomialScheduleTest, PerPeEdgesAreTheFullScheduleFiltered) {
   for (const int radix : {2, 3, 4, 8}) {
     for (int n = 1; n <= 64; ++n) {
-      const auto bcast = knomial_broadcast_schedule(n, radix);
-      const auto reduce = knomial_reduce_schedule(n, radix);
+      const auto bcast = level_broadcast_edges(n, radix);
+      const auto reduce = level_reduce_edges(n, radix);
+      EXPECT_EQ(knomial_broadcast_schedule(n, radix), bcast)
+          << "n=" << n << " radix=" << radix;
+      EXPECT_EQ(knomial_reduce_schedule(n, radix), reduce)
+          << "n=" << n << " radix=" << radix;
       for (int vr = 0; vr < n; ++vr) {
         std::vector<TreeEdge> sends, pulls;
         for (const auto& e : bcast) {

@@ -112,9 +112,7 @@ TEST(FaultInjectorTest, RankStreamsAreIndependent) {
 
 TEST(FaultInjectorTest, ScriptedKillAtKthBarrier) {
   FaultConfig fc;
-  fc.kill_site = KillSite::kBarrier;
-  fc.kill_rank = 1;
-  fc.kill_at = 3;
+  fc.kills.push_back(KillSpec{1, KillSite::kBarrier, 3});
   FaultInjector inj(fc, 4);
   EXPECT_TRUE(inj.enabled());
 
@@ -142,9 +140,7 @@ TEST(FaultInjectorTest, ScriptedKillAtKthBarrier) {
 
 TEST(FaultInjectorTest, ScriptedKillAtKthRma) {
   FaultConfig fc;
-  fc.kill_site = KillSite::kRma;
-  fc.kill_rank = 0;
-  fc.kill_at = 2;
+  fc.kills.push_back(KillSpec{0, KillSite::kRma, 2});
   FaultInjector inj(fc, 2);
   EXPECT_NO_THROW(inj.on_rma_issue(0));
   EXPECT_THROW(inj.on_rma_issue(0), PeKilledError);
@@ -152,8 +148,7 @@ TEST(FaultInjectorTest, ScriptedKillAtKthRma) {
 
 TEST(FaultInjectorTest, KillRankOutOfRangeRejected) {
   FaultConfig fc;
-  fc.kill_site = KillSite::kBarrier;
-  fc.kill_rank = 4;
+  fc.kills.push_back(KillSpec{4, KillSite::kBarrier, 1});
   EXPECT_THROW(FaultInjector(fc, 4), Error);
 }
 

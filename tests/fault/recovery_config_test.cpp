@@ -91,13 +91,6 @@ TEST(RecoveryConfigTest, KillRankOutOfRangeIsRejected) {
   expect_rejected(c, "out of range");
 }
 
-TEST(RecoveryConfigTest, LegacyKillFieldsAreValidatedToo) {
-  MachineConfig c = base_config(4);
-  c.fault.kill_site = KillSite::kRma;
-  c.fault.kill_rank = -1;
-  expect_rejected(c, "out of range");
-}
-
 TEST(RecoveryConfigTest, KillAtZeroIsRejected) {
   // Trigger counts are 1-based; at=0 would schedule a kill that never fires.
   MachineConfig c = base_config(4);

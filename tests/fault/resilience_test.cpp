@@ -217,9 +217,7 @@ TEST(ResilienceTest, OlbFaultsAreRetried) {
 
 TEST(ResilienceTest, ScriptedKillSurfacesAsPeFailedOnSurvivors) {
   FaultConfig fc;
-  fc.kill_site = KillSite::kBarrier;
-  fc.kill_rank = 2;
-  fc.kill_at = 4;
+  fc.kills.push_back(KillSpec{2, KillSite::kBarrier, 4});
   fc.barrier_timeout_ms = 20000;  // a watchdog turns any regression hang
                                   // into a diagnosed failure
   Machine machine(config(4, fc));

@@ -32,7 +32,7 @@ MachineConfig sweep_config(const FaultConfig& fault) {
   return c;
 }
 
-/// Broadcast from root, then reduce_sum back to root; every PE validates
+/// Broadcast from root, then reduce<OpSum> back to root; every PE validates
 /// everything it can see and reports into `ok[rank]`.
 void collective_round_body(PeContext& pe, std::vector<char>* ok) {
   xbrtime_init();
@@ -55,7 +55,7 @@ void collective_round_body(PeContext& pe, std::vector<char>* ok) {
     for (std::size_t i = 0; i < kElems; ++i) {
       good &= bcast[i] == 1000 * static_cast<std::uint64_t>(root) + i;
     }
-    reduce_sum(sum, contrib, kElems, 1, root);
+    reduce<OpSum>(sum, contrib, kElems, 1, root);
     if (pe.rank() == root) {
       for (std::size_t i = 0; i < kElems; ++i) {
         // sum over ranks r of (r + i)
@@ -166,9 +166,7 @@ TEST(FaultSweepTest, KillEachRankMidCollective) {
   // same dead PE and the machine's health view agrees. No cell may hang.
   for (int victim = 0; victim < kPes; ++victim) {
     FaultConfig fc;
-    fc.kill_site = KillSite::kRma;
-    fc.kill_rank = victim;
-    fc.kill_at = 3;
+    fc.kills.push_back(KillSpec{victim, KillSite::kRma, 3});
     Machine machine(sweep_config(fc));
     std::vector<char> ok(kPes, 0);
     try {

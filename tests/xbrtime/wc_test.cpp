@@ -12,13 +12,17 @@
 //      xbr_put_wc to plain blocking puts.
 //   4. Determinism: the same storm twice produces identical modeled cycles.
 //   5. rma.coalesced.* counters show real batching (messages > flushes).
+//   6. Fault accounting: a flush counts and traces each injected fault at
+//      its own site, exactly like the xbr_put it replaces.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "fault/injector.hpp"
 #include "machine/machine.hpp"
 #include "xbrtime/nbi.hpp"
 #include "xbrtime/runtime.hpp"
@@ -248,6 +252,84 @@ TEST(WriteCombinerTest, SameSeedStormIsCycleDeterministic) {
     } else {
       EXPECT_EQ(spent, first) << "coalesced storm must replay identically";
     }
+  }
+}
+
+/// What a faulty run of 200 single-word puts from PE 0 to PE 1 reports:
+/// the per-site fault counters, the kFaultInject events per site, and the
+/// modeled end time.
+struct FaultTally {
+  std::uint64_t olb_faults = 0;
+  std::uint64_t rma_drops = 0;
+  std::uint64_t rma_delays = 0;
+  std::uint64_t rma_retries = 0;
+  std::array<std::uint64_t, 16> events_by_site{};
+  std::uint64_t max_cycles = 0;
+
+  bool operator==(const FaultTally&) const = default;
+};
+
+FaultTally run_faulty_puts(const FaultConfig& fc, bool combine) {
+  MachineConfig c = config(2);
+  c.fault = fc;
+  c.trace.enabled = true;
+  Machine machine(c);
+  machine.run([&](PeContext& pe) {
+    xbrtime_init();
+    auto* buf = static_cast<std::uint64_t*>(
+        xbrtime_malloc(200 * sizeof(std::uint64_t)));
+    xbrtime_barrier();
+    if (pe.rank() == 0) {
+      // Capacity 1: every xbr_put_wc flushes its one entry at once.
+      if (combine) xbr_wc_enable(/*threshold_bytes=*/64, /*capacity=*/1);
+      for (std::uint64_t i = 0; i < 200; ++i) {
+        if (combine) {
+          xbr_put_wc(buf + i, &i, 1, 1, 1);
+        } else {
+          xbr_put(buf + i, &i, 1, 1, 1);
+        }
+      }
+      if (combine) xbr_wc_disable();
+    }
+    xbrtime_barrier();
+    xbrtime_free(buf);
+    xbrtime_close();
+  });
+  FaultTally t;
+  const FaultCounters& fcnt = machine.fault_injector().counters();
+  t.olb_faults = fcnt.olb_faults.load();
+  t.rma_drops = fcnt.rma_drops.load();
+  t.rma_delays = fcnt.rma_delays.load();
+  t.rma_retries = fcnt.rma_retries.load();
+  for (int pe = 0; pe < 2; ++pe) {
+    const EventRing* ring = machine.tracer().ring(pe);
+    if (ring == nullptr) continue;
+    for (const TraceEvent& e : ring->snapshot()) {
+      if (e.kind == EventKind::kFaultInject) ++t.events_by_site.at(e.a);
+    }
+  }
+  t.max_cycles = machine.max_cycles();
+  return t;
+}
+
+TEST(WriteCombinerTest, FlushCountsAndTracesFaultsPerSiteLikePut) {
+  FaultConfig olb;
+  olb.olb_fault_prob = 0.3;
+  FaultConfig drops;
+  drops.rma_drop_prob = 0.3;
+  drops.rma_delay_prob = 0.2;
+  for (FaultConfig fc : {olb, drops}) {
+    fc.seed = 7;
+    fc.max_rma_retries = 12;
+    const FaultTally put = run_faulty_puts(fc, /*combine=*/false);
+    const FaultTally wc = run_faulty_puts(fc, /*combine=*/true);
+    EXPECT_GT(put.olb_faults + put.rma_drops, 0u) << "no fault fired";
+    EXPECT_EQ(wc.olb_faults, put.olb_faults);
+    EXPECT_EQ(wc.rma_drops, put.rma_drops);
+    EXPECT_EQ(wc.rma_delays, put.rma_delays);
+    EXPECT_EQ(wc.rma_retries, put.rma_retries);
+    EXPECT_EQ(wc.events_by_site, put.events_by_site);
+    EXPECT_EQ(wc.max_cycles, put.max_cycles);
   }
 }
 
