@@ -56,8 +56,11 @@ Sample run_with(const xbgas::CliArgs& args, int n,
 
 }  // namespace
 
+constexpr std::string_view kFlags[] = {"json", "pes", "reps"};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(
+      argc, argv, {xbgas::kMachineFlags, xbgas::kObserveFlags, kFlags});
   const std::vector<int> pes = args.get_int_list("pes", {2, 4, 8, 16});
   const int reps = static_cast<int>(args.get_int("reps", 100));
 

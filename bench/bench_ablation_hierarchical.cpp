@@ -20,8 +20,13 @@
 #include "common/cli.hpp"
 #include "common/strfmt.hpp"
 
+constexpr std::string_view kFlags[] = {
+    "elems", "group", "json", "pes", "remote-hops",
+};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(
+      argc, argv, {xbgas::kMachineFlags, xbgas::kObserveFlags, kFlags});
   const int n = static_cast<int>(args.get_int("pes", 8));
   const int group = static_cast<int>(args.get_int("group", 4));
   const int remote_hops = static_cast<int>(args.get_int("remote-hops", 40));

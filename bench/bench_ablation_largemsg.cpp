@@ -21,8 +21,13 @@
 #include "common/cli.hpp"
 #include "common/strfmt.hpp"
 
+constexpr std::string_view kFlags[] = {
+    "json", "pes", "reps", "segments", "sizes",
+};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(
+      argc, argv, {xbgas::kMachineFlags, xbgas::kObserveFlags, kFlags});
   const int n = static_cast<int>(args.get_int("pes", 8));
   const std::vector<int> sizes =
       args.get_int_list("sizes", {16, 256, 4096, 65536});

@@ -45,8 +45,11 @@ std::uint64_t run_pair(xbgas::Machine& machine, std::size_t nelems, int reps) {
 
 }  // namespace
 
+constexpr std::string_view kFlags[] = {"elems", "pes", "reps"};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(
+      argc, argv, {xbgas::kMachineFlags, xbgas::kObserveFlags, kFlags});
   const std::vector<int> pes = args.get_int_list("pes", {4, 8, 16});
   const auto nelems = static_cast<std::size_t>(args.get_int("elems", 256));
   const int reps = static_cast<int>(args.get_int("reps", 5));

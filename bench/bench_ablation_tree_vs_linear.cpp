@@ -64,8 +64,11 @@ std::uint64_t time_collective(
 
 }  // namespace
 
+constexpr std::string_view kFlags[] = {"json", "pes", "reps", "sizes"};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(
+      argc, argv, {xbgas::kMachineFlags, xbgas::kObserveFlags, kFlags});
   const std::vector<int> pes = args.get_int_list("pes", {2, 4, 8, 12, 16});
   const std::vector<int> sizes = args.get_int_list("sizes", {1, 16, 256, 4096});
   const int reps = static_cast<int>(args.get_int("reps", 5));

@@ -17,8 +17,11 @@
 #include "xbrtime/runtime.hpp"
 #include "xbrtime/validation.hpp"
 
+constexpr std::string_view kFlags[] = {"elems"};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(
+      argc, argv, {xbgas::kMachineFlags, xbgas::kObserveFlags, kFlags});
   const std::vector<int> sizes =
       args.get_int_list("elems", {4, 8, 16, 64, 256, 1024});
 

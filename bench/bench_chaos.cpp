@@ -208,8 +208,13 @@ RunStats run_once(xbgas::MachineConfig config, int rounds,
 
 }  // namespace
 
+constexpr std::string_view kFlags[] = {
+    "elems", "pes", "rounds", "seed-base", "seeds",
+};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(
+      argc, argv, {xbgas::kMachineFlags, xbgas::kObserveFlags, kFlags});
   const int n_pes = static_cast<int>(args.get_int("pes", 12));
   const int rounds = static_cast<int>(args.get_int("rounds", 6));
   const auto elems =

@@ -37,8 +37,10 @@ xbgas::AsciiTable stage_table(const std::vector<xbgas::TreeEdge>& edges,
 
 }  // namespace
 
+constexpr std::string_view kFlags[] = {"json", "pes"};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(argc, argv, {kFlags});
   const int n = static_cast<int>(args.get_int("pes", 8));
 
   std::printf("== Figure 3: binomial tree with recursive halving (%d PEs) "

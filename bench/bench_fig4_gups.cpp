@@ -18,8 +18,13 @@
 #include "common/cli.hpp"
 #include "common/strfmt.hpp"
 
+constexpr std::string_view kFlags[] = {
+    "json", "log2-table", "no-verify", "pes", "stats", "updates",
+};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(
+      argc, argv, {xbgas::kMachineFlags, xbgas::kObserveFlags, kFlags});
 
   xbgas::GupsConfig config;
   config.log2_table_entries =
@@ -27,6 +32,7 @@ int main(int argc, char** argv) {
   config.updates_per_pe =
       static_cast<std::uint64_t>(args.get_int("updates", 0));
   config.verify = !args.has("no-verify");
+  const bool stats = args.get_bool("stats", false);
 
   if (config.updates_per_pe == 0) {
     std::printf("== Figure 4: GUPs performance (table 2^%u entries, "
@@ -45,7 +51,7 @@ int main(int argc, char** argv) {
   for (const int n : xbgas::pe_counts_from_cli(args)) {
     xbgas::Machine machine(xbgas::machine_config_from_cli(args, n));
     const xbgas::GupsResult r = xbgas::run_gups(machine, config);
-    if (args.get_bool("stats", false)) {
+    if (stats) {
       std::printf("-- machine statistics, %d PE(s) --\n", n);
       xbgas::print_machine_stats(machine);
     }

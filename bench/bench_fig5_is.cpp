@@ -32,12 +32,18 @@ xbgas::IsClass class_from_name(const std::string& name) {
 
 }  // namespace
 
+constexpr std::string_view kFlags[] = {
+    "class", "iterations", "json", "pes", "stats",
+};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(
+      argc, argv, {xbgas::kMachineFlags, xbgas::kObserveFlags, kFlags});
 
   xbgas::IsConfig config;
   config.cls = class_from_name(args.get("class", "W"));
   config.iterations = static_cast<int>(args.get_int("iterations", 10));
+  const bool stats = args.get_bool("stats", false);
 
   const auto params = xbgas::is_class_params(config.cls);
   std::printf("== Figure 5: NAS IS class %s (%llu keys, max key %d, %d "
@@ -54,7 +60,7 @@ int main(int argc, char** argv) {
         mc.layout.shared_bytes, xbgas::is_shared_bytes_needed(config.cls, n));
     xbgas::Machine machine(mc);
     const xbgas::IsResult r = xbgas::run_is(machine, config);
-    if (args.get_bool("stats", false)) {
+    if (stats) {
       std::printf("-- machine statistics, %d PE(s) --\n", n);
       xbgas::print_machine_stats(machine);
     }

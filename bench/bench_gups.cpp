@@ -168,8 +168,13 @@ AllreduceResult run_allreduce(xbgas::MachineConfig config, std::size_t nelems,
 
 }  // namespace
 
+constexpr std::string_view kFlags[] = {
+    "allreduce-pes", "json", "nelems", "pes", "slots", "updates",
+};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(
+      argc, argv, {xbgas::kMachineFlags, xbgas::kObserveFlags, kFlags});
   const int n_pes = static_cast<int>(args.get_int("pes", 16));
   const auto slots = static_cast<std::size_t>(args.get_int("slots", 256));
   const auto updates =

@@ -57,8 +57,12 @@ bool same_candidate(const xbgas::TuneCandidate& a, xbgas::CollAlgo algo,
 
 }  // namespace
 
+constexpr std::string_view kFlags[] = {
+    "json", "per-hop", "pes", "sizes", "tune-table",
+};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(argc, argv, {xbgas::kMachineFlags, kFlags});
   const std::vector<int> pes = args.get_int_list("pes", {16, 64, 256});
   std::vector<std::size_t> sizes;
   for (const int s : args.get_int_list("sizes", {128, 1024, 8192, 16384})) {

@@ -356,8 +356,13 @@ void write_json(std::FILE* f, const BenchParams& params, int n_pes,
 
 }  // namespace
 
+constexpr std::string_view kFlags[] = {
+    "batches", "incr-pct", "json", "keys", "ops-per-batch", "pes", "put-pct",
+    "seed-base", "seeds", "stripes", "workload-seed", "zipf-s",
+};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(argc, argv, {xbgas::kMachineFlags, kFlags});
   const int n_pes = static_cast<int>(args.get_int("pes", 64));
   const int n_seeds = static_cast<int>(args.get_int("seeds", 0));
   const auto seed_base =

@@ -96,8 +96,11 @@ MeasuredPoint measure_reduce_all(const xbgas::CliArgs& args, int n,
 
 }  // namespace
 
+constexpr std::string_view kFlags[] = {"bus", "json", "pes", "reps", "sizes"};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(
+      argc, argv, {xbgas::kMachineFlags, xbgas::kObserveFlags, kFlags});
   const std::vector<int> pes = args.get_int_list("pes", {4, 8, 12});
   const std::vector<int> sizes = args.get_int_list(
       "sizes", {16, 64, 256, 1024, 4096, 16384, 65536});

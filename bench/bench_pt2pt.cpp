@@ -14,8 +14,11 @@
 #include "net/sim_clock.hpp"
 #include "xbrtime/rma.hpp"
 
+constexpr std::string_view kFlags[] = {"reps", "sizes", "strides"};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(
+      argc, argv, {xbgas::kMachineFlags, xbgas::kObserveFlags, kFlags});
   const std::vector<int> sizes =
       args.get_int_list("sizes", {1, 8, 64, 512, 4096, 32768});
   const std::vector<int> strides = args.get_int_list("strides", {1, 2, 8});

@@ -111,8 +111,12 @@ ScalePoint measure(const xbgas::CliArgs& args, int n, int barrier_reps,
 
 }  // namespace
 
+constexpr std::string_view kFlags[] = {
+    "allreduce-reps", "barrier-reps", "json", "nelems", "pes",
+};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(argc, argv, {xbgas::kMachineFlags, kFlags});
   const std::vector<int> pes = args.get_int_list("pes", {16, 64, 256, 1024});
   const int barrier_reps = static_cast<int>(args.get_int("barrier-reps", 64));
   const int allreduce_reps =

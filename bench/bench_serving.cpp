@@ -422,8 +422,16 @@ void apply_default_faults(xbgas::MachineConfig& config) {
 
 }  // namespace
 
+constexpr std::string_view kFlags[] = {
+    "attempt-timeout", "batches", "checkpoint-every", "hedge-after",
+    "incr-pct", "json", "keys", "no-replicate", "op-timeout", "ops-per-batch",
+    "pes", "policy", "put-pct", "seed-base", "seeds", "serving-retries",
+    "stripes", "workload-seed", "zipf-s",
+};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(
+      argc, argv, {xbgas::kMachineFlags, xbgas::kObserveFlags, kFlags});
   const int n_pes = static_cast<int>(args.get_int("pes", 12));
   const int n_seeds = static_cast<int>(args.get_int("seeds", 0));
   const auto seed_base =

@@ -10,8 +10,10 @@
 #include "common/cli.hpp"
 #include "xbrtime/types.hpp"
 
+constexpr std::string_view kFlags[] = {"json"};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(argc, argv, {kFlags});
   std::printf("== Table 1: xBGAS matched type names & types ==\n");
   xbgas::AsciiTable table({"TYPENAME", "TYPE"});
   for (int i = 0; i < xbgas::kNumTypedNames; ++i) {

@@ -10,8 +10,10 @@
 #include "collectives/vrank.hpp"
 #include "common/cli.hpp"
 
+constexpr std::string_view kFlags[] = {"json", "pes", "root"};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(argc, argv, {kFlags});
   const int n = static_cast<int>(args.get_int("pes", 7));
   const int root = static_cast<int>(args.get_int("root", 4));
 

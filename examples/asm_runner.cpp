@@ -39,8 +39,10 @@ constexpr const char* kDemo = R"(
 
 }  // namespace
 
+constexpr std::string_view kFlags[] = {"dump-x", "pes"};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(argc, argv, {xbgas::kMachineFlags, kFlags});
   const int n_pes = static_cast<int>(args.get_int("pes", 2));
 
   std::string source = kDemo;

@@ -17,8 +17,10 @@
 #include "common/rng.hpp"
 #include "xbrtime/rma.hpp"
 
+constexpr std::string_view kFlags[] = {"keys", "pes"};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(argc, argv, {xbgas::kMachineFlags, kFlags});
   const int n_pes = static_cast<int>(args.get_int("pes", 8));
   const auto total_keys =
       static_cast<std::size_t>(args.get_int("keys", 65536));

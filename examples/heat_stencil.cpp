@@ -16,8 +16,10 @@
 #include "common/cli.hpp"
 #include "xbrtime/rma.hpp"
 
+constexpr std::string_view kFlags[] = {"cells-per-pe", "pes", "steps"};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(argc, argv, {xbgas::kMachineFlags, kFlags});
   const int n_pes = static_cast<int>(args.get_int("pes", 4));
   const auto cells = static_cast<std::size_t>(args.get_int("cells-per-pe", 1024));
   const int steps = static_cast<int>(args.get_int("steps", 500));

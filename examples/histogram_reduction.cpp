@@ -16,8 +16,10 @@
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 
+constexpr std::string_view kFlags[] = {"bins", "pes", "samples"};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(argc, argv, {xbgas::kMachineFlags, kFlags});
   const int n_pes = static_cast<int>(args.get_int("pes", 8));
   const auto samples =
       static_cast<std::size_t>(args.get_int("samples", 100000));

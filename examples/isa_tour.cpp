@@ -17,7 +17,7 @@
 #include "xbrtime/runtime.hpp"
 
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(argc, argv, {xbgas::kMachineFlags});
   xbgas::Machine machine(xbgas::machine_config_from_cli(args, 2));
 
   machine.run([&](xbgas::PeContext& pe) {

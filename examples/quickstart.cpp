@@ -16,8 +16,10 @@
 #include "common/cli.hpp"
 #include "xbrtime/rma.hpp"
 
+constexpr std::string_view kFlags[] = {"pes"};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(argc, argv, {xbgas::kMachineFlags, kFlags});
   const int n_pes = static_cast<int>(args.get_int("pes", 4));
 
   xbgas::Machine machine(xbgas::machine_config_from_cli(args, n_pes));

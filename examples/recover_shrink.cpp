@@ -27,8 +27,10 @@
 #include "common/cli.hpp"
 #include "xbrtime/runtime.hpp"
 
+constexpr std::string_view kFlags[] = {"pes"};
+
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(argc, argv, {xbgas::kMachineFlags, kFlags});
   const int n_pes = static_cast<int>(args.get_int("pes", 8));
   constexpr std::size_t kElems = 32;
   constexpr int kVictim = 2;

@@ -19,8 +19,10 @@
 #include "fault/errors.hpp"
 #include "xbrtime/rma.hpp"
 
+constexpr std::string_view kFlags[] = {"pes"};
+
 int main(int argc, char** argv) {
-  xbgas::CliArgs args(argc, argv);
+  const xbgas::CliArgs args(argc, argv, {xbgas::kMachineFlags, kFlags});
   const int n_pes = static_cast<int>(args.get_int("pes", 2));
 
   xbgas::MachineConfig config = xbgas::machine_config_from_cli(args, n_pes);

@@ -7,7 +7,8 @@
 #   3. the observability suite alone (ctest -R trace)
 #   4. the disabled-path overhead microbenchmark guard
 #   5. an end-to-end trace/counters smoke on bench_pt2pt
-#   6. a fault-injection smoke: deterministic placement + retry absorption
+#   6. a fault-injection smoke: deterministic placement + retry absorption,
+#      for remote transfers (bench_pt2pt) and remote AMOs (bench_fig4_gups)
 #   7. a collective-policy smoke: --coll-algo dispatch counters line up
 #   8. hierarchy + tuner gauntlet (docs/COLLECTIVES.md): the k-nomial /
 #      hierarchy / tuner test wall, a fresh OSU sweep with its gates
@@ -96,24 +97,46 @@ print(f"smoke OK: {len(trace['traceEvents'])} trace events, "
       f"{len(tracks)} PE tracks, {counters['net.messages']} remote RMAs")
 EOF
 
-echo "== [6/18] fault-injection smoke (bench_pt2pt, docs/RESILIENCE.md) =="
-"$BUILD"/bench/bench_pt2pt --fault-rma-drop=0.01 --fault-seed=7 \
-    --counters=json > "$TMP/fault1.txt"
-"$BUILD"/bench/bench_pt2pt --fault-rma-drop=0.01 --fault-seed=7 \
-    --counters=json > "$TMP/fault2.txt"
+echo "== [6/18] fault-injection smoke (bench_pt2pt + bench_fig4_gups, docs/RESILIENCE.md) =="
+# Each fault plan runs twice. Determinism is a contract over modeled state
+# only (tests/support/modeled_counters.hpp): the replay must print the same
+# output and the same counters except the host-scheduling sched.* class,
+# which legitimately differs between two runs on a multi-core host.
+for run in 1 2; do
+  "$BUILD"/bench/bench_pt2pt --fault-rma-drop=0.01 --fault-seed=7 \
+      --counters=json > "$TMP/rma$run.txt"
+  "$BUILD"/bench/bench_fig4_gups --pes 4 --log2-table 12 \
+      --fault-amo-drop=0.05 --fault-amo-delay=0.05 --fault-seed=7 \
+      --counters=json > "$TMP/amo$run.txt"
+done
 python3 - "$TMP" <<'EOF'
 import json, sys
 tmp = sys.argv[1]
-a = open(f"{tmp}/fault1.txt").read()
-b = open(f"{tmp}/fault2.txt").read()
-assert a == b, "identical fault seeds must reproduce identical runs"
-counters = json.loads(a[a.index("{"):])
-assert counters["fault.injected.rma_drop"] > 0, "no drops were injected"
-assert counters["rma.retries"] > 0, "drops were injected but never retried"
-assert counters["machine.pes_failed"] == 0, \
+
+def modeled(path):
+    """The output with its counters JSON split out, minus sched.*."""
+    out = open(path).read()
+    start = out.index("{")
+    counters, end = json.JSONDecoder().raw_decode(out, start)
+    kept = {k: v for k, v in counters.items() if not k.startswith("sched.")}
+    return out[:start] + out[end:], kept
+
+for plan in ("rma", "amo"):
+    assert modeled(f"{tmp}/{plan}1.txt") == modeled(f"{tmp}/{plan}2.txt"), \
+        f"identical fault seeds must reproduce identical modeled runs ({plan})"
+_, rma = modeled(f"{tmp}/rma1.txt")
+assert rma["fault.injected.rma_drop"] > 0, "no drops were injected"
+assert rma["rma.retries"] > 0, "drops were injected but never retried"
+assert rma["machine.pes_failed"] == 0, \
     "the retry path must absorb a 1% drop rate"
-print(f"fault smoke OK: {counters['fault.injected.rma_drop']} drops "
-      f"absorbed by {counters['rma.retries']} retries, deterministic replay")
+_, amo = modeled(f"{tmp}/amo1.txt")
+assert amo["fault.injected.amo_drop"] > 0, "no AMO drops were injected"
+assert amo["amo.retries"] > 0, "AMO drops were injected but never retried"
+assert amo["machine.pes_failed"] == 0, \
+    "the retry path must absorb a 5% AMO drop rate"
+print(f"fault smoke OK: {rma['fault.injected.rma_drop']} drops absorbed by "
+      f"{rma['rma.retries']} retries, {amo['fault.injected.amo_drop']} AMO "
+      f"drops by {amo['amo.retries']} retries, deterministic replays")
 EOF
 
 echo "== [7/18] collective-policy smoke (docs/COLLECTIVES.md) =="

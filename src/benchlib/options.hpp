@@ -4,12 +4,30 @@
 // binaries: --topology, --pes, network-model overrides, and standard
 // machine sizing.
 
+#include <string_view>
 #include <vector>
 
 #include "common/cli.hpp"
 #include "machine/machine.hpp"
 
 namespace xbgas {
+
+/// The flags machine_config_from_cli reads, for the CliArgs known-flag list
+/// of a binary that calls it. Its tracing flags (--trace-out,
+/// --trace-capacity) are in kObserveFlags instead: only a binary that calls
+/// emit_observability writes the trace they turn on.
+inline constexpr std::string_view kMachineFlags[] = {
+    "topology", "shared-mb", "private-mb", "fabric-bpc", "fabric-mpc",
+    "link-bpc", "barrier",
+    "fault-seed", "fault-rma-drop", "fault-rma-delay", "fault-delay-cycles",
+    "fault-bitflip", "fault-olb", "fault-amo-drop", "fault-amo-delay",
+    "fault-retries", "fault-checksum", "fault-timeout-ms",
+    "fault-agree-timeout-ms", "fault-kill", "fault-link", "fault-partition",
+    "fault-link-beta", "fault-link-alpha",
+    "coll-algo", "coll-tune-table", "coll-radix",
+    "sched-workers", "sched-stack-kb", "sched-yield-inject", "sched-yield-seed",
+    "xbrsan",
+};
 
 /// Machine configuration from common flags:
 ///   --topology flat|ring|torus|hypercube   (default flat)
@@ -39,7 +57,8 @@ namespace xbgas {
 ///   --fault-timeout-ms N       barrier watchdog, host milliseconds (0 = off)
 ///   --fault-agree-timeout-ms N xbr_agree decision watchdog, host
 ///                              milliseconds (0 = the 60 s safety net)
-///   --fault-kill RANK:SITE:K   kill RANK at its K-th SITE (barrier|rma),
+///   --fault-kill RANK:SITE:K   kill RANK at its K-th SITE (barrier|rma|
+///                              agree|amo), comma-separated for several,
 ///                              e.g. --fault-kill 2:barrier:3
 ///
 /// XbrSan runtime sanitizer (docs/SANITIZER.md):

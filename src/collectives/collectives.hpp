@@ -162,9 +162,9 @@ void nbi_chunks(T* dest, const T* src, std::size_t nelems, int stride,
     const std::size_t hi = nelems * (c + 1) / nc;
     if (hi > lo) {
       const std::size_t at = lo * static_cast<std::size_t>(stride);
-      rma_transfer(dest + at, src + at, sizeof(T), hi - lo, stride, world_pe,
-                   remote_is_dest, /*nonblocking=*/true,
-                   /*atomic_elems=*/false, NbTrack::kInternal);
+      rma_transfer(remote_is_dest ? "xbr_put_nb" : "xbr_get_nb", dest + at,
+                   src + at, sizeof(T), hi - lo, stride, world_pe,
+                   remote_is_dest, NbTrack::kInternal);
     }
   }
   note_pipeline_chunks(nc);

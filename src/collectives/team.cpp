@@ -72,14 +72,8 @@ void Team::revoke() {
 }
 
 void Team::barrier() {
-  PeContext& ctx = xbrtime_ctx();
-  // Full fence, same as the world barrier: write combiner flushed, all
-  // nonblocking traffic (legacy and request-tracked) completed.
-  detail::nb_drain_all(ctx);
-  FaultInjector& fault = machine_->fault_injector();
-  if (fault.enabled()) fault.on_barrier_arrival(ctx.rank());  // scripted kill
-  const std::uint64_t t = barrier_->arrive_and_wait(ctx.clock().cycles());
-  ctx.clock().set(t);
+  // Full fence, same as the world barrier.
+  detail::fence_and_arrive(xbrtime_ctx(), *barrier_);
 }
 
 }  // namespace xbgas

@@ -1,12 +1,35 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "common/error.hpp"
 
 namespace xbgas {
 
-CliArgs::CliArgs(int argc, const char* const* argv) {
+namespace {
+
+[[noreturn]] void malformed(const std::string& name, const char* expected,
+                            const std::string& value) {
+  throw Error("--" + name + " expects " + expected + ", got '" + value + "'");
+}
+
+std::int64_t parse_int(const std::string& name, const std::string& value) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(value.c_str(), &end, 0);
+  if (value.empty() || *end != '\0' || errno == ERANGE) {
+    malformed(name, "an integer", value);
+  }
+  return v;
+}
+
+}  // namespace
+
+CliArgs::CliArgs(int argc, const char* const* argv,
+                 std::initializer_list<CliFlags> known) {
   XBGAS_CHECK(argc >= 1 && argv != nullptr, "CliArgs requires argv[0]");
   program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
@@ -25,6 +48,19 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
       flags_[arg] = "true";
     }
   }
+  for (const auto& [name, value] : flags_) {
+    const auto lists = [&](CliFlags f) {
+      return std::find(f.begin(), f.end(), name) != f.end();
+    };
+    const bool listed = std::any_of(known.begin(), known.end(), lists);
+    if (listed) continue;
+    std::string names;
+    for (const CliFlags f : known) {
+      for (const std::string_view n : f) names.append(" --").append(n);
+    }
+    throw Error(program_ + ": unknown flag --" + name + " (known:" + names +
+                ")");
+  }
 }
 
 bool CliArgs::has(const std::string& name) const { return flags_.contains(name); }
@@ -36,20 +72,29 @@ std::string CliArgs::get(const std::string& name, const std::string& fallback) c
 
 std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback) const {
   const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 0);
+  return it == flags_.end() ? fallback : parse_int(name, it->second);
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string& value = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0' || errno == ERANGE) {
+    malformed(name, "a number", value);
+  }
+  return v;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return it->second != "false" && it->second != "0" && it->second != "no";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  malformed(name, "true/false, 1/0 or yes/no", v);
 }
 
 std::vector<int> CliArgs::get_int_list(const std::string& name,
@@ -59,10 +104,15 @@ std::vector<int> CliArgs::get_int_list(const std::string& name,
   std::vector<int> out;
   const std::string& s = it->second;
   std::size_t pos = 0;
-  while (pos < s.size()) {
+  while (pos <= s.size()) {
     auto comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::atoi(s.substr(pos, comma - pos).c_str()));
+    const std::int64_t v = parse_int(name, s.substr(pos, comma - pos));
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max()) {
+      malformed(name, "a list of int-sized integers", s);
+    }
+    out.push_back(static_cast<int>(v));
     pos = comma + 1;
   }
   return out;

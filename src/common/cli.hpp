@@ -2,22 +2,38 @@
 
 // Tiny command-line flag parser shared by the bench/ and examples/ binaries.
 // Supports --name value, --name=value, and bare --flag booleans.
+//
+// Each binary lists the flags it reads; an unknown flag, or a value that is
+// not a well-formed number or boolean where one is read, throws
+// xbgas::Error naming the flag, so a mistyped or retired flag fails the run
+// instead of being silently ignored.
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace xbgas {
 
+/// Flag names (without the leading "--") that one binary or library reads.
+using CliFlags = std::span<const std::string_view>;
+
 class CliArgs {
  public:
-  CliArgs(int argc, const char* const* argv);
+  /// Parse argv. Throws xbgas::Error at the first flag that appears in none
+  /// of the `known` lists.
+  CliArgs(int argc, const char* const* argv,
+          std::initializer_list<CliFlags> known);
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
+  /// Decimal, or 0x-prefixed hex; throws xbgas::Error on anything else.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
+  /// true/1/yes or false/0/no; a bare --flag is true.
   bool get_bool(const std::string& name, bool fallback) const;
 
   /// Comma-separated integer list, e.g. --pes 1,2,4,8.

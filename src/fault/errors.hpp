@@ -26,15 +26,12 @@ class FaultConfigError : public Error {
 
 /// A remote transfer kept failing after the bounded retry/backoff budget
 /// (FaultConfig::max_rma_retries) was exhausted. Carries structured facts —
-/// which target rank, which transport site (olb/drop/checksum/amo/wc_flush),
-/// how many attempts — so the serving retry layer and the unreachable-peer
-/// escalation can switch on fields instead of parsing the message.
+/// which target rank, which transport site (olb/drop/checksum/amo_drop/
+/// link_down/wc_flush), how many attempts — so the serving retry layer and
+/// the unreachable-peer escalation can switch on fields instead of parsing
+/// the message.
 class RmaRetriesExhaustedError : public Error {
  public:
-  RmaRetriesExhaustedError(const std::string& what_arg, int attempts)
-      : RmaRetriesExhaustedError(what_arg, attempts, /*target_rank=*/-1,
-                                 /*site=*/"") {}
-
   RmaRetriesExhaustedError(const std::string& what_arg, int attempts,
                            int target_rank, std::string site)
       : Error(what_arg),
@@ -44,10 +41,10 @@ class RmaRetriesExhaustedError : public Error {
 
   /// Total attempts performed (first try + retries).
   int attempts() const { return attempts_; }
-  /// World rank of the remote target the transfer failed against, or -1.
+  /// World rank of the remote target the transfer failed against.
   int target_rank() const { return target_rank_; }
   /// Transport site that exhausted: "olb", "drop", "checksum", "amo_drop",
-  /// "wc_flush", or "" (legacy 2-arg construction).
+  /// "link_down" or "wc_flush".
   const std::string& site() const { return site_; }
 
  private:

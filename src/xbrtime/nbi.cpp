@@ -106,6 +106,13 @@ void nb_drain_all(PeContext& ctx) {
   ctx.machine().sanitizer().on_wait(ctx.rank());
 }
 
+void fence_and_arrive(PeContext& ctx, ClockSyncBarrier& barrier) {
+  nb_drain_all(ctx);
+  FaultInjector& fault = ctx.machine().fault_injector();
+  if (fault.enabled()) fault.on_barrier_arrival(ctx.rank());  // scripted kill
+  ctx.clock().set(barrier.arrive_and_wait(ctx.clock().cycles()));
+}
+
 void nb_discard_all(PeContext& ctx) {
   XbrtimeRuntimeState& st = ctx.xbrtime_state();
   for (WcTargetBuffer& buf : st.wc.targets) {

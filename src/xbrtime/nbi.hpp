@@ -84,6 +84,11 @@ void note_nbi_issue(bool is_put);
 /// cleared, XbrSan zones closed.
 void nb_drain_all(PeContext& ctx);
 
+/// One barrier arrival, shared by xbrtime_barrier and Team::barrier: a full
+/// fence (nb_drain_all), the scripted-kill site, the rendezvous on
+/// `barrier`, and the clock set to its release time.
+void fence_and_arrive(PeContext& ctx, ClockSyncBarrier& barrier);
+
 /// The recovery twin of nb_drain_all (xbr_team_shrink): drop buffered
 /// write-combined puts, the pending horizon and the request table without
 /// sending or charging anything, and close XbrSan zones.
@@ -96,9 +101,9 @@ XbrRequest xbr_put_nbi(T* dest, const T* src, std::size_t nelems, int stride,
                        int pe) {
   detail::validate_rma("xbr_put_nbi", dest, src, nelems, stride, pe);
   std::uint64_t id = 0;
-  detail::rma_transfer(dest, src, sizeof(T), nelems, stride, pe,
-                       /*remote_is_dest=*/true, /*nonblocking=*/true,
-                       /*atomic_elems=*/false, detail::NbTrack::kRequest, &id);
+  detail::rma_transfer("xbr_put_nbi", dest, src, sizeof(T), nelems, stride, pe,
+                       /*remote_is_dest=*/true, detail::NbTrack::kRequest,
+                       /*atomic_elems=*/false, &id);
   detail::note_nbi_issue(/*is_put=*/true);
   return XbrRequest{id};
 }
@@ -108,9 +113,9 @@ XbrRequest xbr_get_nbi(T* dest, const T* src, std::size_t nelems, int stride,
                        int pe) {
   detail::validate_rma("xbr_get_nbi", dest, src, nelems, stride, pe);
   std::uint64_t id = 0;
-  detail::rma_transfer(dest, src, sizeof(T), nelems, stride, pe,
-                       /*remote_is_dest=*/false, /*nonblocking=*/true,
-                       /*atomic_elems=*/false, detail::NbTrack::kRequest, &id);
+  detail::rma_transfer("xbr_get_nbi", dest, src, sizeof(T), nelems, stride, pe,
+                       /*remote_is_dest=*/false, detail::NbTrack::kRequest,
+                       /*atomic_elems=*/false, &id);
   detail::note_nbi_issue(/*is_put=*/false);
   return XbrRequest{id};
 }
@@ -126,9 +131,9 @@ XbrRequest xbr_get_atomic_nbi(T* dest, const T* src, std::size_t nelems,
   detail::validate_rma("xbr_get_atomic_nbi", dest, src, nelems, stride, pe);
   detail::validate_word_aligned("xbr_get_atomic_nbi", dest, src, sizeof(T));
   std::uint64_t id = 0;
-  detail::rma_transfer(dest, src, sizeof(T), nelems, stride, pe,
-                       /*remote_is_dest=*/false, /*nonblocking=*/true,
-                       /*atomic_elems=*/true, detail::NbTrack::kRequest, &id);
+  detail::rma_transfer("xbr_get_atomic_nbi", dest, src, sizeof(T), nelems,
+                       stride, pe, /*remote_is_dest=*/false,
+                       detail::NbTrack::kRequest, /*atomic_elems=*/true, &id);
   detail::note_nbi_issue(/*is_put=*/false);
   return XbrRequest{id};
 }

@@ -89,6 +89,15 @@ void san_check_target(Sanitizer& san, PeContext& ctx, const char* fn,
                    ctx.clock().cycles(), &ctx.trace());
 }
 
+/// Count one injected fault and record its kFaultInject trace event.
+void note_fault(PeContext& ctx, int pe, int attempt, FaultSite site,
+                std::atomic<std::uint64_t>& count) {
+  count.fetch_add(1, std::memory_order_relaxed);
+  ctx.trace().record(EventKind::kFaultInject, pe,
+                     static_cast<std::uint64_t>(site),
+                     static_cast<std::uint64_t>(attempt));
+}
+
 }  // namespace
 
 namespace detail {
@@ -112,65 +121,121 @@ std::uint64_t issue_cycles(const NetCostParams& p, std::size_t nelems) {
   return per * nelems;
 }
 
-std::uint64_t note_retry(PeContext& ctx, FaultInjector& fault, int pe,
-                         int attempt) {
-  fault.counters().rma_retries.fetch_add(1, std::memory_order_relaxed);
+int max_attempts(PeContext& ctx) {
+  const FaultConfig& fc = ctx.machine().fault_injector().config();
+  return 1 + std::max(0, fc.max_rma_retries);
+}
+
+const char* wire_attempt(PeContext& ctx, int pe, Wire wire, std::size_t bytes,
+                         int attempt, std::uint64_t& cycles) {
+  NetworkModel& net = ctx.machine().network();
+  FaultInjector& fault = ctx.machine().fault_injector();
+  FaultCounters& counters = fault.counters();
+  const int rank = ctx.rank();
+  // The architectural OLB translation (§3.2) and the full wire cost, paid
+  // again by every retransmission, which also consumes fabric bandwidth.
+  (void)ctx.olb().lookup(object_id_for_pe(pe));
+  if (wire != Wire::kPut) {
+    cycles += net.get_cost(rank, pe, bytes);
+    net.record(/*is_put=*/false, bytes, rank, pe);
+  }
+  if (wire != Wire::kGet) {
+    cycles += net.put_cost(rank, pe, bytes);
+    net.record(/*is_put=*/true, bytes, rank, pe);
+  }
+
+  if (!net.link_faults().empty()) {
+    // Scripted link plan at this attempt's modeled time: a down link drops
+    // the attempt wholesale (retries keep failing until exhaustion
+    // escalates), a degraded one charges extra alpha/beta per crossing.
+    const LinkStatus ls =
+        net.link_faults().status(rank, pe, ctx.clock().cycles() + cycles);
+    if (ls == LinkStatus::kDown) {
+      note_fault(ctx, pe, attempt, FaultSite::kLinkDown,
+                 counters.link_down_drops);
+      return "link_down";
+    }
+    if (ls == LinkStatus::kDegraded) {
+      note_fault(ctx, pe, attempt, FaultSite::kLinkDegraded,
+                 counters.link_degraded);
+      const std::uint64_t crossings = wire == Wire::kRmw ? 2 : 1;
+      cycles += crossings * net.degraded_penalty_cycles(bytes);
+    }
+  }
+
+  if (!fault.enabled()) return nullptr;
+  if (wire == Wire::kRmw) {
+    // The RMW happens at the target: no payload path, so its own drop and
+    // delay sites and no translation-fault draw.
+    if (fault.draw_amo_drop(rank)) {
+      note_fault(ctx, pe, attempt, FaultSite::kAmoDrop, counters.amo_drops);
+      return "amo_drop";
+    }
+    if (fault.draw_amo_delay(rank)) {
+      note_fault(ctx, pe, attempt, FaultSite::kAmoDelay, counters.amo_delays);
+      cycles += fault.config().delay_cycles;
+    }
+    return nullptr;
+  }
+  if (fault.draw_olb_fault(rank)) {
+    note_fault(ctx, pe, attempt, FaultSite::kOlbFault, counters.olb_faults);
+    return "olb";
+  }
+  if (fault.draw_rma_drop(rank)) {
+    note_fault(ctx, pe, attempt, FaultSite::kRmaDrop, counters.rma_drops);
+    return "drop";
+  }
+  if (fault.draw_rma_delay(rank)) {
+    note_fault(ctx, pe, attempt, FaultSite::kRmaDelay, counters.rma_delays);
+    cycles += fault.config().delay_cycles;
+  }
+  return nullptr;
+}
+
+std::uint64_t retry_backoff(PeContext& ctx, int pe, Wire wire, int attempt) {
+  FaultInjector& fault = ctx.machine().fault_injector();
+  (wire == Wire::kRmw ? fault.counters().amo_retries
+                      : fault.counters().rma_retries)
+      .fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t backoff = backoff_cycles(fault.config(), attempt);
   ctx.trace().record(EventKind::kRmaRetry, pe,
                      static_cast<std::uint64_t>(attempt), backoff);
   return backoff;
 }
 
-void note_fault(PeContext& ctx, int pe, FaultSite site, int attempt) {
-  ctx.trace().record(EventKind::kFaultInject, pe,
-                     static_cast<std::uint64_t>(site),
-                     static_cast<std::uint64_t>(attempt));
-}
-
-LinkStatus link_attempt_status(PeContext& ctx, int target_pe,
-                               std::uint64_t now, int attempt) {
-  const LinkStatus ls =
-      ctx.machine().network().link_faults().status(ctx.rank(), target_pe, now);
-  FaultCounters& counters = ctx.machine().fault_injector().counters();
-  if (ls == LinkStatus::kDown) {
-    counters.link_down_drops.fetch_add(1, std::memory_order_relaxed);
-    note_fault(ctx, target_pe, FaultSite::kLinkDown, attempt);
-  } else if (ls == LinkStatus::kDegraded) {
-    counters.link_degraded.fetch_add(1, std::memory_order_relaxed);
-    note_fault(ctx, target_pe, FaultSite::kLinkDegraded, attempt);
-  }
-  return ls;
-}
-
-void throw_transfer_failed(PeContext& ctx, int target_pe, const char* site,
-                           int attempts, const std::string& what) {
+void attempts_exhausted(PeContext& ctx, int pe, const char* fn,
+                        const char* site, const char* cause, int attempts,
+                        std::size_t bytes, std::uint64_t cycles) {
+  ctx.clock().advance(cycles);
   const int rank = ctx.rank();
+  const std::string what =
+      std::string(fn) + ": retries exhausted, " + std::to_string(attempts) +
+      " attempts lost to " + cause + " (PE " + std::to_string(rank) + " -> " +
+      std::to_string(pe) + ", " + std::to_string(bytes) + " bytes)";
   Machine& machine = ctx.machine();
   LinkFaults& links = machine.network().link_faults();
   if (!links.empty() &&
-      links.status(rank, target_pe, ctx.clock().cycles()) ==
-          LinkStatus::kDown) {
+      links.status(rank, pe, ctx.clock().cycles()) == LinkStatus::kDown) {
     // The retries died against a link scripted down: not a lossy transient
     // but an unreachable peer. Escalate — record the suspect, pull every
     // blocked PE into recovery, and throw the typed verdict.
-    const int a = rank < target_pe ? rank : target_pe;
-    const int b = rank < target_pe ? target_pe : rank;
+    const int a = std::min(rank, pe);
+    const int b = std::max(rank, pe);
     machine.fault_injector().counters().pe_unreachable.fetch_add(
         1, std::memory_order_relaxed);
-    ctx.trace().record(EventKind::kLinkFault, target_pe,
-                       static_cast<std::uint64_t>(a),
+    ctx.trace().record(EventKind::kLinkFault, pe, static_cast<std::uint64_t>(a),
                        static_cast<std::uint64_t>(b));
-    machine.recovery().note_unreachable(rank, target_pe);
+    machine.recovery().note_unreachable(rank, pe);
     machine.poison_barriers_for_unreachable(
-        target_pe, "PE " + std::to_string(rank) +
-                       " exhausted retries across down link (" +
-                       std::to_string(a) + ", " + std::to_string(b) + ")");
+        pe, "PE " + std::to_string(rank) +
+                " exhausted retries across down link (" + std::to_string(a) +
+                ", " + std::to_string(b) + ")");
     throw PeUnreachableError(
         what + "; link (" + std::to_string(a) + ", " + std::to_string(b) +
-            ") is down — peer " + std::to_string(target_pe) + " unreachable",
-        attempts, target_pe, site, a, b);
+            ") is down — peer " + std::to_string(pe) + " unreachable",
+        attempts, pe, site, a, b);
   }
-  throw RmaRetriesExhaustedError(what, attempts, target_pe, site);
+  throw RmaRetriesExhaustedError(what, attempts, pe, site);
 }
 
 void validate_rma(const char* fn, const void* dest, const void* src,
@@ -194,14 +259,7 @@ void validate_rma(const char* fn, const void* dest, const void* src,
 }
 
 void validate_amo(const char* fn, const void* dest, int pe) {
-  PeContext& ctx = xbrtime_ctx();
-  if (pe < 0 || pe >= ctx.n_pes()) {
-    throw Error(std::string(fn) + ": pe " + std::to_string(pe) +
-                " out of range [0, " + std::to_string(ctx.n_pes()) + ")");
-  }
-  if (dest == nullptr) {
-    throw Error(std::string(fn) + ": dest must not be null");
-  }
+  validate_rma(fn, dest, dest, /*nelems=*/1, /*stride=*/1, pe);
 }
 
 void validate_word_aligned(const char* fn, const void* dest, const void* src,
@@ -217,9 +275,9 @@ void validate_word_aligned(const char* fn, const void* dest, const void* src,
   }
 }
 
-void rma_transfer(void* dest, const void* src, std::size_t elem_size,
-                  std::size_t nelems, int stride, int pe, bool remote_is_dest,
-                  bool nonblocking, bool atomic_elems, NbTrack track,
+void rma_transfer(const char* fn, void* dest, const void* src,
+                  std::size_t elem_size, std::size_t nelems, int stride, int pe,
+                  bool remote_is_dest, NbTrack track, bool atomic_elems,
                   std::uint64_t* req_out) {
   // Cooperative poll point: RMA issues are the densest operation in a PE
   // body, so they bound a fiber's uninterrupted slice (and host the seeded
@@ -241,17 +299,6 @@ void rma_transfer(void* dest, const void* src, std::size_t elem_size,
   const std::byte* src_ptr = static_cast<const std::byte*>(src);
 
   Sanitizer& san = ctx.machine().sanitizer();
-  const bool nbi = track == NbTrack::kRequest;
-  const char* fn =
-      atomic_elems
-          ? (remote_is_dest
-                 ? "xbr_put_atomic"
-                 : (nbi ? "xbr_get_atomic_nbi" : "xbr_get_atomic"))
-          : remote_is_dest
-              ? (nonblocking ? (nbi ? "xbr_put_nbi" : "xbr_put_nb")
-                             : "xbr_put")
-              : (nonblocking ? (nbi ? "xbr_get_nbi" : "xbr_get_nb")
-                             : "xbr_get");
   // How each side of the copy is recorded by XbrSan: the symmetric side of
   // a word-atomic transfer is an atomic access (atomic/atomic concurrency
   // is legal), the caller's private side stays a plain access.
@@ -259,6 +306,14 @@ void rma_transfer(void* dest, const void* src, std::size_t elem_size,
       atomic_elems ? SanAccess::kAtomic : SanAccess::kWrite;
   const SanAccess sym_read =
       atomic_elems ? SanAccess::kAtomic : SanAccess::kRead;
+  const auto copy = [&] {
+    if (atomic_elems) {
+      copy_elements_atomic(dst_ptr, src_ptr, elem_size, nelems, stride,
+                           /*atomic_dst=*/remote_is_dest);
+    } else {
+      copy_elements(dst_ptr, src_ptr, elem_size, nelems, stride);
+    }
+  };
 
   if (pe == ctx.rank()) {
     // Local transfer: the §3.2 object-ID-0 shortcut. Plain memory-to-memory
@@ -282,21 +337,14 @@ void rma_transfer(void* dest, const void* src, std::size_t elem_size,
                                  issue_cycles(ctx.machine().network().params(),
                                               nelems);
     ctx.clock().advance(cycles);
-    if (atomic_elems) {
-      copy_elements_atomic(dst_ptr, src_ptr, elem_size, nelems, stride,
-                           /*atomic_dst=*/remote_is_dest);
-    } else {
-      copy_elements(dst_ptr, src_ptr, elem_size, nelems, stride);
-    }
+    copy();
     return;
   }
 
   NetworkModel& net = ctx.machine().network();
   FaultInjector& fault = ctx.machine().fault_injector();
-  const FaultConfig& fc = fault.config();
-  const bool faults_on = fault.enabled();
   const int rank = ctx.rank();
-  if (faults_on) fault.on_rma_issue(rank);  // scripted-kill site (may throw)
+  if (fault.enabled()) fault.on_rma_issue(rank);  // scripted-kill site
 
   std::uint64_t cycles = issue_cycles(net.params(), nelems);
   ctx.trace().record(remote_is_dest ? EventKind::kRmaPutIssue
@@ -324,165 +372,69 @@ void rma_transfer(void* dest, const void* src, std::size_t elem_size,
                     /*is_write=*/!remote_is_dest, &ctx.trace());
   }
 
-  // Bounded retry with exponential backoff: each attempt performs the
-  // architectural OLB translation (§3.2), pays the full wire cost, and is
-  // recorded in the phase/lifetime traffic accounting — a retransmission
-  // consumes fabric bandwidth exactly like a first attempt.
-  const bool links_on = !net.link_faults().empty();
-  const int max_attempts = 1 + std::max(0, fc.max_rma_retries);
-  int attempt = 0;
-  for (;;) {
-    ++attempt;
-    (void)ctx.olb().lookup(object_id_for_pe(pe));
-    cycles += remote_is_dest ? net.put_cost(rank, pe, bytes)
-                             : net.get_cost(rank, pe, bytes);
-    net.record(remote_is_dest, bytes, rank, pe);
-
-    if (links_on) {
-      // Scripted link plan, evaluated at this attempt's modeled time: a
-      // down link drops the attempt wholesale (retries keep failing until
-      // exhaustion escalates), a degraded one charges extra alpha/beta.
-      const LinkStatus ls = detail::link_attempt_status(
-          ctx, pe, ctx.clock().cycles() + cycles, attempt);
-      if (ls == LinkStatus::kDown) {
-        if (attempt >= max_attempts) {
-          ctx.clock().advance(cycles);
-          detail::throw_transfer_failed(
-              ctx, pe, "link_down", attempt,
-              "rma_transfer: " + std::to_string(attempt) +
-                  " attempts dropped by a down link (PE " +
-                  std::to_string(rank) + " -> " + std::to_string(pe) + ", " +
-                  std::to_string(bytes) + " bytes)");
+  remote_attempts(
+      ctx, pe, remote_is_dest ? Wire::kPut : Wire::kGet, bytes, cycles, fn,
+      /*site=*/nullptr, [&](int attempt, std::uint64_t& landed) {
+        copy();
+        // A word-atomic element travels in the request header, whose loss
+        // the drop site already models, and a plain corruption write would
+        // race the very accesses this path keeps atomic: no bit-flip or
+        // checksum stage.
+        if (atomic_elems) return true;
+        if (fault.enabled() && fault.draw_rma_bitflip(rank)) {
+          note_fault(ctx, pe, attempt, FaultSite::kRmaBitflip,
+                     fault.counters().rma_bitflips);
+          fault.corrupt_payload(rank, dst_ptr, elem_size, nelems, stride);
         }
-        cycles += note_retry(ctx, fault, pe, attempt);
-        continue;
-      }
-      if (ls == LinkStatus::kDegraded) {
-        cycles += net.degraded_penalty_cycles(bytes);
-      }
-    }
-
-    if (faults_on && fault.draw_olb_fault(rank)) {
-      fault.counters().olb_faults.fetch_add(1, std::memory_order_relaxed);
-      note_fault(ctx, pe, FaultSite::kOlbFault, attempt);
-      if (attempt >= max_attempts) {
-        ctx.clock().advance(cycles);
-        detail::throw_transfer_failed(
-            ctx, pe, "olb", attempt,
-            "rma_transfer: OLB translation fault persisted through " +
-                std::to_string(attempt) + " attempts (PE " +
-                std::to_string(rank) + " -> " + std::to_string(pe) + ")");
-      }
-      cycles += note_retry(ctx, fault, pe, attempt);
-      continue;
-    }
-
-    if (faults_on && fault.draw_rma_drop(rank)) {
-      fault.counters().rma_drops.fetch_add(1, std::memory_order_relaxed);
-      note_fault(ctx, pe, FaultSite::kRmaDrop, attempt);
-      if (attempt >= max_attempts) {
-        ctx.clock().advance(cycles);
-        detail::throw_transfer_failed(
-            ctx, pe, "drop", attempt,
-            "rma_transfer: remote transfer dropped " + std::to_string(attempt) +
-                " times, retries exhausted (PE " + std::to_string(rank) +
-                " -> " + std::to_string(pe) + ", " + std::to_string(bytes) +
-                " bytes)");
-      }
-      cycles += note_retry(ctx, fault, pe, attempt);
-      continue;
-    }
-
-    if (faults_on && fault.draw_rma_delay(rank)) {
-      fault.counters().rma_delays.fetch_add(1, std::memory_order_relaxed);
-      note_fault(ctx, pe, FaultSite::kRmaDelay, attempt);
-      cycles += fc.delay_cycles;
-    }
-
-    if (atomic_elems) {
-      copy_elements_atomic(dst_ptr, src_ptr, elem_size, nelems, stride,
-                           /*atomic_dst=*/remote_is_dest);
-      // No bit-flip / checksum stages: the word travels in the request
-      // header, whose loss the drop site above already models, and a plain
-      // corruption write would race the very accesses this path keeps
-      // atomic.
-      break;
-    }
-    copy_elements(dst_ptr, src_ptr, elem_size, nelems, stride);
-
-    if (faults_on && fault.draw_rma_bitflip(rank)) {
-      fault.counters().rma_bitflips.fetch_add(1, std::memory_order_relaxed);
-      note_fault(ctx, pe, FaultSite::kRmaBitflip, attempt);
-      fault.corrupt_payload(rank, dst_ptr, elem_size, nelems, stride);
-    }
-
-    if (fc.verify_checksum) {
-      cycles += checksum_cycles(bytes);
-      const std::uint64_t want =
-          strided_checksum(src_ptr, elem_size, nelems, stride);
-      const std::uint64_t got =
-          strided_checksum(dst_ptr, elem_size, nelems, stride);
-      if (want != got) {
-        fault.counters().checksum_failures.fetch_add(
-            1, std::memory_order_relaxed);
-        if (attempt >= max_attempts) {
-          ctx.clock().advance(cycles);
-          detail::throw_transfer_failed(
-              ctx, pe, "checksum", attempt,
-              "rma_transfer: payload checksum mismatch persisted through " +
-                  std::to_string(attempt) + " attempts (PE " +
-                  std::to_string(rank) + " -> " + std::to_string(pe) + ")");
+        if (!fault.config().verify_checksum) return true;
+        landed += checksum_cycles(bytes);
+        if (strided_checksum(src_ptr, elem_size, nelems, stride) ==
+            strided_checksum(dst_ptr, elem_size, nelems, stride)) {
+          return true;
         }
-        cycles += note_retry(ctx, fault, pe, attempt);
-        continue;
-      }
-    }
-    break;
-  }
+        fault.counters().checksum_failures.fetch_add(1,
+                                                     std::memory_order_relaxed);
+        return false;
+      });
 
   const EventKind done_kind = remote_is_dest ? EventKind::kRmaPutComplete
                                              : EventKind::kRmaGetComplete;
-  if (nonblocking) {
-    // The transfer completes at the modeled horizon, not when the issuing
-    // PE's clock moves on — stamp the completion event there.
-    const std::uint64_t issue_only = net.params().injection_cycles;
-    const std::uint64_t done_at = ctx.clock().cycles() + cycles;
-    ctx.note_pending(done_at);
-    ctx.clock().advance(issue_only);
-    ctx.trace().record_at(done_at, done_kind, pe, bytes);
-    if (track == NbTrack::kRequest) {
-      // Explicit-handle nbi: register the request so xbr_test/xbr_wait_req
-      // can complete it individually, and open the request-tagged XbrSan
-      // zones — the local source of a put must not be rewritten, the remote
-      // landing zone must not be observed, and a get's destination must not
-      // be touched until the request completes.
-      XbrtimeRuntimeState& st = ctx.xbrtime_state();
-      const std::uint64_t id = st.nbi_next_id++;
-      st.nbi_inflight.push_back({id, done_at});
-      *req_out = id;
-      if (remote_is_dest) {
-        san.note_nb_src(fn, rank, src, span, id);
-        if (san.conflicts_enabled() && ctx.arena().in_shared(dest, 0)) {
-          san.note_nb_remote(fn, rank, pe,
-                             ctx.arena().shared_offset_of(dest), span, id);
-        }
-      } else {
-        san.note_nb_dest(fn, rank, dest, span, id);
-      }
-    } else if (track == NbTrack::kLegacy && !remote_is_dest) {
-      // A nonblocking get's destination stays "open" until xbr_wait: reading
-      // it before then observes a half-landed transfer.
-      san.note_nb_dest(fn, rank, dest, span);
-    }
-  } else {
+  if (track == NbTrack::kBlocking) {
     ctx.clock().advance(cycles);
     ctx.trace().record(done_kind, pe, bytes);
+    return;
+  }
+  // The transfer completes at the modeled horizon, not when the issuing
+  // PE's clock moves on — stamp the completion event there.
+  const std::uint64_t done_at = ctx.clock().cycles() + cycles;
+  ctx.note_pending(done_at);
+  ctx.clock().advance(net.params().injection_cycles);
+  ctx.trace().record_at(done_at, done_kind, pe, bytes);
+  if (track == NbTrack::kRequest) {
+    // Explicit-handle nbi: register the request so xbr_test/xbr_wait_req
+    // can complete it individually, and open the request-tagged XbrSan
+    // zones — the local source of a put must not be rewritten, the remote
+    // landing zone must not be observed, and a get's destination must not
+    // be touched until the request completes.
+    XbrtimeRuntimeState& st = ctx.xbrtime_state();
+    const std::uint64_t id = st.nbi_next_id++;
+    st.nbi_inflight.push_back({id, done_at});
+    *req_out = id;
+    if (remote_is_dest) {
+      san.note_nb_src(fn, rank, src, span, id);
+      if (san.conflicts_enabled() && ctx.arena().in_shared(dest, 0)) {
+        san.note_nb_remote(fn, rank, pe, ctx.arena().shared_offset_of(dest),
+                           span, id);
+      }
+    } else {
+      san.note_nb_dest(fn, rank, dest, span, id);
+    }
+  } else if (track == NbTrack::kLegacy && !remote_is_dest) {
+    // A nonblocking get's destination stays "open" until xbr_wait: reading
+    // it before then observes a half-landed transfer.
+    san.note_nb_dest(fn, rank, dest, span);
   }
 }
-
-}  // namespace detail
-
-namespace detail {
 
 std::uint64_t amo_cycles(const char* fn, const void* local_addr,
                          std::size_t bytes, int pe) {
@@ -499,79 +451,13 @@ std::uint64_t amo_cycles(const char* fn, const void* local_addr,
            ctx.cache().config().costs.l1_hit_cycles;
   }
   FaultInjector& fault = ctx.machine().fault_injector();
-  const FaultConfig& fc = fault.config();
-  const bool faults_on = fault.enabled();
-  const int rank = ctx.rank();
-  if (faults_on) fault.on_amo_issue(rank);  // scripted-kill site
-  NetworkModel& net = ctx.machine().network();
+  if (fault.enabled()) fault.on_amo_issue(ctx.rank());  // scripted-kill site
   ctx.trace().record(EventKind::kAmo, pe, bytes);
-
-  // Bounded retry, mirroring rma_transfer: each attempt re-translates and
-  // re-pays the full round-trip wire cost; a dropped RMW request charges
-  // backoff and goes again, exhaustion throws the same error the RMA path
-  // does, so application-level retry policies treat both uniformly.
-  const bool links_on = !net.link_faults().empty();
-  const int max_attempts = 1 + std::max(0, fc.max_rma_retries);
+  // The round trip and its retries, the same loop (and the same typed
+  // exhaustion) as a transfer; the RMW itself happens at the caller.
   std::uint64_t cycles = 0;
-  int attempt = 0;
-  for (;;) {
-    ++attempt;
-    (void)ctx.olb().lookup(object_id_for_pe(pe));
-    net.record(/*is_put=*/false, bytes, rank, pe);
-    net.record(/*is_put=*/true, bytes, rank, pe);
-    cycles += net.get_cost(rank, pe, bytes) + net.put_cost(rank, pe, bytes);
-
-    if (links_on) {
-      const LinkStatus ls = link_attempt_status(
-          ctx, pe, ctx.clock().cycles() + cycles, attempt);
-      if (ls == LinkStatus::kDown) {
-        if (attempt >= max_attempts) {
-          ctx.clock().advance(cycles);
-          throw_transfer_failed(
-              ctx, pe, "link_down", attempt,
-              std::string(fn) + ": " + std::to_string(attempt) +
-                  " RMW attempts dropped by a down link (PE " +
-                  std::to_string(rank) + " -> " + std::to_string(pe) + ")");
-        }
-        fault.counters().amo_retries.fetch_add(1, std::memory_order_relaxed);
-        const std::uint64_t backoff = backoff_cycles(fc, attempt);
-        ctx.trace().record(EventKind::kRmaRetry, pe,
-                           static_cast<std::uint64_t>(attempt), backoff);
-        cycles += backoff;
-        continue;
-      }
-      if (ls == LinkStatus::kDegraded) {
-        // Round-trip RMW crosses the degraded link twice.
-        cycles += 2 * net.degraded_penalty_cycles(bytes);
-      }
-    }
-
-    if (faults_on && fault.draw_amo_drop(rank)) {
-      fault.counters().amo_drops.fetch_add(1, std::memory_order_relaxed);
-      note_fault(ctx, pe, FaultSite::kAmoDrop, attempt);
-      if (attempt >= max_attempts) {
-        ctx.clock().advance(cycles);
-        throw_transfer_failed(
-            ctx, pe, "amo_drop", attempt,
-            std::string(fn) + ": remote RMW request dropped " +
-                std::to_string(attempt) + " times, retries exhausted (PE " +
-                std::to_string(rank) + " -> " + std::to_string(pe) + ")");
-      }
-      fault.counters().amo_retries.fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t backoff = backoff_cycles(fc, attempt);
-      ctx.trace().record(EventKind::kRmaRetry, pe,
-                         static_cast<std::uint64_t>(attempt), backoff);
-      cycles += backoff;
-      continue;
-    }
-
-    if (faults_on && fault.draw_amo_delay(rank)) {
-      fault.counters().amo_delays.fetch_add(1, std::memory_order_relaxed);
-      note_fault(ctx, pe, FaultSite::kAmoDelay, attempt);
-      cycles += fc.delay_cycles;
-    }
-    break;
-  }
+  remote_attempts(ctx, pe, Wire::kRmw, bytes, cycles, fn, /*site=*/nullptr,
+                  [](int, std::uint64_t&) { return true; });
   return cycles;
 }
 

@@ -21,11 +21,12 @@
 // serialization + remote memory access + a per-element issue cost that
 // drops once `nelems` crosses the runtime's loop-unrolling threshold.
 //
-// Resilience (docs/RESILIENCE.md): under an active FaultConfig each remote
-// transfer is attempted up to 1 + max_rma_retries times with exponential
-// backoff charged to the SimClock — retries show up in modeled time — and
-// optional checksum verification turns injected payload corruption into the
-// same retry path instead of silent data loss.
+// Resilience (docs/RESILIENCE.md): every remote transfer and AMO runs the
+// transport's one bounded-retry attempt loop (xbrtime/transport.hpp): under
+// an active FaultConfig it is attempted up to 1 + max_rma_retries times with
+// exponential backoff charged to the SimClock — retries show up in modeled
+// time — and optional checksum verification turns injected payload
+// corruption into the same retry path instead of silent data loss.
 
 #include <atomic>
 #include <cstddef>
@@ -38,18 +39,20 @@ namespace xbgas {
 
 namespace detail {
 
-/// How a nonblocking transfer is tracked for completion and hazards.
+/// How a transfer completes and is tracked for hazards.
 enum class NbTrack : std::uint8_t {
-  kLegacy,   ///< the original _nb epoch: closed only by xbr_wait / a barrier
-  kRequest,  ///< explicit-handle nbi: registered in the per-PE request table
-             ///< and closed individually by xbr_test / xbr_wait_req
-  kInternal, ///< collective-internal pipelining: timing only, no XbrSan
-             ///< zones (the enclosing collective owns the hazard contract)
+  kBlocking,  ///< completes before returning: the clock takes the full cost
+  kLegacy,    ///< the original _nb epoch: closed only by xbr_wait / a barrier
+  kRequest,   ///< explicit-handle nbi: registered in the per-PE request table
+              ///< and closed individually by xbr_test / xbr_wait_req
+  kInternal,  ///< collective-internal pipelining: timing only, no XbrSan
+              ///< zones (the enclosing collective owns the hazard contract)
 };
 
-/// Byte-level transfer engine shared by all typed entry points.
-/// If `remote_is_dest`, `remote_ptr` is the caller's symmetric address for
-/// the destination (put); otherwise for the source (get).
+/// Byte-level transfer engine shared by all typed entry points. `fn` names
+/// the entry point in XbrSan diagnostics and exhaustion errors.
+/// If `remote_is_dest`, `dest` is the caller's symmetric address for the
+/// remote destination (put); otherwise `src` is, for the remote source (get).
 /// `atomic_elems` selects the word-atomic variant (xbr_put_atomic /
 /// xbr_get_atomic): every element moves with one atomic access on the
 /// symmetric side, the payload-corruption stages (bit-flip, checksum) are
@@ -57,11 +60,10 @@ enum class NbTrack : std::uint8_t {
 /// With `track == NbTrack::kRequest`, `req_out` (required non-null) receives
 /// the allocated request id, or 0 when the transfer completed at issue
 /// (zero length, or local pe == rank).
-void rma_transfer(void* dest, const void* src, std::size_t elem_size,
-                  std::size_t nelems, int stride, int pe, bool remote_is_dest,
-                  bool nonblocking, bool atomic_elems = false,
-                  NbTrack track = NbTrack::kLegacy,
-                  std::uint64_t* req_out = nullptr);
+void rma_transfer(const char* fn, void* dest, const void* src,
+                  std::size_t elem_size, std::size_t nelems, int stride, int pe,
+                  bool remote_is_dest, NbTrack track = NbTrack::kBlocking,
+                  bool atomic_elems = false, std::uint64_t* req_out = nullptr);
 
 /// Entry-point argument validation: throws xbgas::Error naming `fn` and the
 /// offending argument (bad pe, stride < 1, null dest/src) *before* any cost
@@ -83,29 +85,29 @@ void validate_word_aligned(const char* fn, const void* dest, const void* src,
 template <class T>
 void xbr_put(T* dest, const T* src, std::size_t nelems, int stride, int pe) {
   detail::validate_rma("xbr_put", dest, src, nelems, stride, pe);
-  detail::rma_transfer(dest, src, sizeof(T), nelems, stride, pe,
-                       /*remote_is_dest=*/true, /*nonblocking=*/false);
+  detail::rma_transfer("xbr_put", dest, src, sizeof(T), nelems, stride, pe,
+                       /*remote_is_dest=*/true);
 }
 
 template <class T>
 void xbr_get(T* dest, const T* src, std::size_t nelems, int stride, int pe) {
   detail::validate_rma("xbr_get", dest, src, nelems, stride, pe);
-  detail::rma_transfer(dest, src, sizeof(T), nelems, stride, pe,
-                       /*remote_is_dest=*/false, /*nonblocking=*/false);
+  detail::rma_transfer("xbr_get", dest, src, sizeof(T), nelems, stride, pe,
+                       /*remote_is_dest=*/false);
 }
 
 template <class T>
 void xbr_put_nb(T* dest, const T* src, std::size_t nelems, int stride, int pe) {
   detail::validate_rma("xbr_put_nb", dest, src, nelems, stride, pe);
-  detail::rma_transfer(dest, src, sizeof(T), nelems, stride, pe,
-                       /*remote_is_dest=*/true, /*nonblocking=*/true);
+  detail::rma_transfer("xbr_put_nb", dest, src, sizeof(T), nelems, stride, pe,
+                       /*remote_is_dest=*/true, detail::NbTrack::kLegacy);
 }
 
 template <class T>
 void xbr_get_nb(T* dest, const T* src, std::size_t nelems, int stride, int pe) {
   detail::validate_rma("xbr_get_nb", dest, src, nelems, stride, pe);
-  detail::rma_transfer(dest, src, sizeof(T), nelems, stride, pe,
-                       /*remote_is_dest=*/false, /*nonblocking=*/true);
+  detail::rma_transfer("xbr_get_nb", dest, src, sizeof(T), nelems, stride, pe,
+                       /*remote_is_dest=*/false, detail::NbTrack::kLegacy);
 }
 
 /// Word-atomic remote store: xbr_put for 4/8-byte elements where each
@@ -127,8 +129,8 @@ void xbr_put_atomic(T* dest, const T* src, std::size_t nelems, int stride,
                     int pe) {
   detail::validate_rma("xbr_put_atomic", dest, src, nelems, stride, pe);
   detail::validate_word_aligned("xbr_put_atomic", dest, src, sizeof(T));
-  detail::rma_transfer(dest, src, sizeof(T), nelems, stride, pe,
-                       /*remote_is_dest=*/true, /*nonblocking=*/false,
+  detail::rma_transfer("xbr_put_atomic", dest, src, sizeof(T), nelems, stride,
+                       pe, /*remote_is_dest=*/true, detail::NbTrack::kBlocking,
                        /*atomic_elems=*/true);
 }
 
@@ -140,8 +142,8 @@ void xbr_get_atomic(T* dest, const T* src, std::size_t nelems, int stride,
                     int pe) {
   detail::validate_rma("xbr_get_atomic", dest, src, nelems, stride, pe);
   detail::validate_word_aligned("xbr_get_atomic", dest, src, sizeof(T));
-  detail::rma_transfer(dest, src, sizeof(T), nelems, stride, pe,
-                       /*remote_is_dest=*/false, /*nonblocking=*/false,
+  detail::rma_transfer("xbr_get_atomic", dest, src, sizeof(T), nelems, stride,
+                       pe, /*remote_is_dest=*/false, detail::NbTrack::kBlocking,
                        /*atomic_elems=*/true);
 }
 
@@ -153,6 +155,20 @@ namespace detail {
 /// calling entry point in any violation diagnostic).
 std::uint64_t amo_cycles(const char* fn, const void* local_addr,
                          std::size_t bytes, int pe);
+
+/// The body every AMO entry point shares: charge the round trip, then apply
+/// `fetch_op` (a std::atomic_ref fetch_* call) to the target word.
+template <class T, class FetchOp>
+T amo(const char* fn, T* dest, int pe, FetchOp fetch_op) {
+  validate_amo(fn, dest, pe);
+  PeContext& ctx = xbrtime_ctx();
+  T* target = dest;
+  if (pe != ctx.rank()) {
+    target = reinterpret_cast<T*>(ctx.resolve_symmetric(pe, dest));
+  }
+  ctx.clock().advance(amo_cycles(fn, dest, sizeof(T), pe));
+  return fetch_op(std::atomic_ref<T>(*target));
+}
 }  // namespace detail
 
 /// Remote atomic XOR on a symmetric 32/64-bit integer (the GUPs update
@@ -163,30 +179,18 @@ std::uint64_t amo_cycles(const char* fn, const void* local_addr,
 template <class T>
   requires(std::is_integral_v<T> && (sizeof(T) == 4 || sizeof(T) == 8))
 T xbr_amo_xor(T* dest, T value, int pe) {
-  detail::validate_amo("xbr_amo_xor", dest, pe);
-  PeContext& ctx = xbrtime_ctx();
-  T* target = dest;
-  if (pe != ctx.rank()) {
-    target = reinterpret_cast<T*>(ctx.resolve_symmetric(pe, dest));
-  }
-  ctx.clock().advance(detail::amo_cycles("xbr_amo_xor", dest, sizeof(T), pe));
-  return std::atomic_ref<T>(*target).fetch_xor(value,
-                                               std::memory_order_relaxed);
+  return detail::amo("xbr_amo_xor", dest, pe, [value](std::atomic_ref<T> a) {
+    return a.fetch_xor(value, std::memory_order_relaxed);
+  });
 }
 
 /// Remote atomic add, same contract as xbr_amo_xor.
 template <class T>
   requires(std::is_integral_v<T> && (sizeof(T) == 4 || sizeof(T) == 8))
 T xbr_amo_add(T* dest, T value, int pe) {
-  detail::validate_amo("xbr_amo_add", dest, pe);
-  PeContext& ctx = xbrtime_ctx();
-  T* target = dest;
-  if (pe != ctx.rank()) {
-    target = reinterpret_cast<T*>(ctx.resolve_symmetric(pe, dest));
-  }
-  ctx.clock().advance(detail::amo_cycles("xbr_amo_add", dest, sizeof(T), pe));
-  return std::atomic_ref<T>(*target).fetch_add(value,
-                                               std::memory_order_relaxed);
+  return detail::amo("xbr_amo_add", dest, pe, [value](std::atomic_ref<T> a) {
+    return a.fetch_add(value, std::memory_order_relaxed);
+  });
 }
 
 }  // namespace xbgas

@@ -106,12 +106,7 @@ void xbrtime_barrier() {
   // A barrier is a full fence: the write combiner flushes, all outstanding
   // nonblocking transfers (legacy and request-tracked) complete, and every
   // XbrSan nb zone this PE opened closes.
-  detail::nb_drain_all(ctx);
-  FaultInjector& fault = ctx.machine().fault_injector();
-  if (fault.enabled()) fault.on_barrier_arrival(ctx.rank());  // scripted kill
-  const std::uint64_t t =
-      ctx.machine().world_barrier().arrive_and_wait(ctx.clock().cycles());
-  ctx.clock().set(t);
+  detail::fence_and_arrive(ctx, ctx.machine().world_barrier());
 }
 
 void* xbrtime_malloc(std::size_t bytes) {

@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <string>
 
-#include "fault/errors.hpp"
 #include "fault/injector.hpp"
 #include "machine/fiber.hpp"
-#include "net/fabric.hpp"
-#include "olb/olb.hpp"
 #include "san/sanitizer.hpp"
 #include "xbrtime/transport.hpp"
 
@@ -128,82 +124,23 @@ void wc_flush_target(PeContext& ctx, int pe) {
   WcTargetBuffer& buf = wc.targets[static_cast<std::size_t>(pe)];
   if (buf.entries.empty()) return;
 
-  NetworkModel& net = ctx.machine().network();
   FaultInjector& fault = ctx.machine().fault_injector();
-  const FaultConfig& fc = fault.config();
-  const bool faults_on = fault.enabled();
-  const int rank = ctx.rank();
-  if (faults_on) fault.on_rma_issue(rank);  // scripted-kill site (may throw)
+  if (fault.enabled()) fault.on_rma_issue(ctx.rank());  // scripted-kill site
 
+  // One put message for the whole batch, through the transport's attempt
+  // loop. The payload-corruption stages are skipped (see wc.hpp), so there
+  // is nothing to land per attempt.
   const std::size_t total = buf.payload.size();
   std::uint64_t cycles = 0;
-
-  // One message for the whole batch: bounded retry against translation
-  // faults, drops, and the scripted link plan, exactly like rma_transfer.
-  // The payload-corruption stages are skipped (see wc.hpp).
-  const bool links_on = !net.link_faults().empty();
-  const int max_attempts = 1 + std::max(0, fc.max_rma_retries);
-  int attempt = 0;
-  for (;;) {
-    ++attempt;
-    (void)ctx.olb().lookup(object_id_for_pe(pe));
-    cycles += net.put_cost(rank, pe, total);
-    net.record(/*is_put=*/true, total, rank, pe);
-
-    if (links_on) {
-      const LinkStatus ls = link_attempt_status(
-          ctx, pe, ctx.clock().cycles() + cycles, attempt);
-      if (ls == LinkStatus::kDown) {
-        if (attempt >= max_attempts) {
-          ctx.clock().advance(cycles);
-          // Drop the batch before the throw: the flush failed terminally and
-          // must not replay stale entries on the next enqueue.
-          buf.entries.clear();
-          buf.payload.clear();
-          throw_transfer_failed(
-              ctx, pe, "wc_flush", attempt,
-              "wc_flush: " + std::to_string(attempt) +
-                  " batched attempts dropped by a down link (PE " +
-                  std::to_string(rank) + " -> " + std::to_string(pe) + ", " +
-                  std::to_string(total) + " bytes)");
-        }
-        cycles += note_retry(ctx, fault, pe, attempt);
-        continue;
-      }
-      if (ls == LinkStatus::kDegraded) {
-        cycles += net.degraded_penalty_cycles(total);
-      }
-    }
-
-    // Translation fault first, then drop: the draw order of rma_transfer,
-    // each fault counted and traced at its own site.
-    const bool olb = faults_on && fault.draw_olb_fault(rank);
-    if (olb || (faults_on && fault.draw_rma_drop(rank))) {
-      (olb ? fault.counters().olb_faults : fault.counters().rma_drops)
-          .fetch_add(1, std::memory_order_relaxed);
-      note_fault(ctx, pe, olb ? FaultSite::kOlbFault : FaultSite::kRmaDrop,
-                 attempt);
-      if (attempt >= max_attempts) {
-        ctx.clock().advance(cycles);
-        buf.entries.clear();
-        buf.payload.clear();
-        throw_transfer_failed(
-            ctx, pe, "wc_flush", attempt,
-            "wc_flush: batched transfer lost " + std::to_string(attempt) +
-                " times, retries exhausted (PE " + std::to_string(rank) +
-                " -> " + std::to_string(pe) + ", " + std::to_string(total) +
-                " bytes)");
-      }
-      cycles += note_retry(ctx, fault, pe, attempt);
-      continue;
-    }
-
-    if (faults_on && fault.draw_rma_delay(rank)) {
-      fault.counters().rma_delays.fetch_add(1, std::memory_order_relaxed);
-      note_fault(ctx, pe, FaultSite::kRmaDelay, attempt);
-      cycles += fc.delay_cycles;
-    }
-    break;
+  try {
+    remote_attempts(ctx, pe, Wire::kPut, total, cycles, "wc_flush", "wc_flush",
+                    [](int, std::uint64_t&) { return true; });
+  } catch (...) {
+    // The flush failed terminally: drop the batch so the next enqueue does
+    // not replay stale entries.
+    buf.entries.clear();
+    buf.payload.clear();
+    throw;
   }
 
   for (const WcEntry& e : buf.entries) {

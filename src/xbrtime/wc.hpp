@@ -28,11 +28,12 @@
 // range at enqueue time (fn "xbr_put_wc"), so bounds/lifetime/conflict
 // diagnosis is not deferred.
 //
-// Like the word-atomic path, a flushed batch skips the payload-corruption
-// fault stages (bit-flip, checksum): entries land via per-entry header
-// copies whose loss the message-drop site already models. The other sites
-// (OLB fault, drop, delay) draw in rma_transfer's order and are counted and
-// traced per site exactly as a put's are.
+// A flushed batch is one put message through the transport's attempt loop
+// (xbrtime/transport.hpp): the same OLB lookup, wire cost, link plan and
+// OLB-fault, drop and delay draws as any put, counted and traced per site,
+// except that retries exhausted report site "wc_flush". Like the word-atomic
+// path it skips the payload-corruption stages (bit-flip, checksum): entries
+// land via per-entry header copies whose loss the drop site already models.
 
 #include <cstddef>
 #include <cstdint>
@@ -89,8 +90,8 @@ void xbr_put_wc(T* dest, const T* src, std::size_t nelems, int stride,
                 int pe) {
   detail::validate_rma("xbr_put_wc", dest, src, nelems, stride, pe);
   if (detail::wc_try_enqueue(dest, src, sizeof(T), nelems, stride, pe)) return;
-  detail::rma_transfer(dest, src, sizeof(T), nelems, stride, pe,
-                       /*remote_is_dest=*/true, /*nonblocking=*/false);
+  detail::rma_transfer("xbr_put", dest, src, sizeof(T), nelems, stride, pe,
+                       /*remote_is_dest=*/true);
 }
 
 }  // namespace xbgas

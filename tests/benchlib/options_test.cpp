@@ -7,10 +7,12 @@
 namespace xbgas {
 namespace {
 
+constexpr std::string_view kPes[] = {"pes"};
+
 CliArgs make(std::initializer_list<const char*> args) {
   std::vector<const char*> v{"bench"};
   v.insert(v.end(), args.begin(), args.end());
-  return CliArgs(static_cast<int>(v.size()), v.data());
+  return CliArgs(static_cast<int>(v.size()), v.data(), {kMachineFlags, kPes});
 }
 
 TEST(OptionsTest, DefaultsMatchPaperEnvironment) {

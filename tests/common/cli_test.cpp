@@ -2,13 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/error.hpp"
+
 namespace xbgas {
 namespace {
+
+constexpr std::string_view kKnown[] = {"pes",  "topology", "verify", "n",
+                                       "mask", "reps",     "rate"};
 
 CliArgs make(std::initializer_list<const char*> args) {
   std::vector<const char*> v{"prog"};
   v.insert(v.end(), args.begin(), args.end());
-  return CliArgs(static_cast<int>(v.size()), v.data());
+  return CliArgs(static_cast<int>(v.size()), v.data(), {kKnown});
+}
+
+/// The what() of the xbgas::Error `fn` throws, or "" if it throws none.
+template <class Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(CliTest, SpaceSeparatedFlag) {
@@ -60,6 +78,61 @@ TEST(CliTest, PositionalArguments) {
 TEST(CliTest, HexIntegers) {
   const CliArgs args = make({"--mask", "0xff"});
   EXPECT_EQ(args.get_int("mask", 0), 255);
+}
+
+TEST(CliTest, NegativeNumbers) {
+  const CliArgs args = make({"--n", "-3", "--rate=-0.5"});
+  EXPECT_EQ(args.get_int("n", 0), -3);
+  EXPECT_DOUBLE_EQ(args.get_double("rate", 0), -0.5);
+}
+
+TEST(CliTest, UnknownFlagIsRejectedByName) {
+  const std::string what = error_of([] { make({"--no-such-flag"}); });
+  EXPECT_NE(what.find("unknown flag --no-such-flag"), std::string::npos)
+      << what;
+  // A retired flag is unknown too, even with a value.
+  EXPECT_NE(error_of([] { make({"--pes", "4", "--sched", "threads"}); })
+                .find("--sched"),
+            std::string::npos);
+}
+
+TEST(CliTest, FlagMayComeFromAnyKnownList) {
+  constexpr std::string_view kMore[] = {"extra"};
+  const std::vector<const char*> v{"prog", "--extra", "--pes", "2"};
+  const CliArgs args(static_cast<int>(v.size()), v.data(), {kKnown, kMore});
+  EXPECT_TRUE(args.get_bool("extra", false));
+  EXPECT_EQ(args.get_int("pes", 0), 2);
+}
+
+TEST(CliTest, MalformedIntegersAreRejectedByName) {
+  for (const char* bad : {"abc", "5x", "", "1.5", "99999999999999999999"}) {
+    const CliArgs args = make({"--reps", bad});
+    const std::string what = error_of([&] { (void)args.get_int("reps", 1); });
+    EXPECT_NE(what.find("--reps"), std::string::npos) << "value: " << bad;
+  }
+}
+
+TEST(CliTest, MalformedNumbersAreRejectedByName) {
+  const CliArgs args = make({"--rate=lots"});
+  EXPECT_NE(error_of([&] { (void)args.get_double("rate", 0); }).find("--rate"),
+            std::string::npos);
+}
+
+TEST(CliTest, MalformedIntListsAreRejectedByName) {
+  for (const char* bad : {"1,x,4", "1,,2", "1,2,", "8589934592"}) {
+    const CliArgs args = make({"--pes", bad});
+    EXPECT_NE(error_of([&] { (void)args.get_int_list("pes", {}); })
+                  .find("--pes"),
+              std::string::npos)
+        << "value: " << bad;
+  }
+}
+
+TEST(CliTest, MalformedBooleansAreRejectedByName) {
+  const CliArgs args = make({"--verify=maybe"});
+  EXPECT_NE(error_of([&] { (void)args.get_bool("verify", false); })
+                .find("--verify"),
+            std::string::npos);
 }
 
 }  // namespace

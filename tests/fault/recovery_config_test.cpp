@@ -116,7 +116,8 @@ TEST(RecoveryConfigTest, ValidPlanConstructs) {
 
 MachineConfig from_flags(std::vector<const char*> argv, int n_pes = 4) {
   argv.insert(argv.begin(), "test");
-  const CliArgs args(static_cast<int>(argv.size()), argv.data());
+  const CliArgs args(static_cast<int>(argv.size()), argv.data(),
+                     {kMachineFlags});
   return machine_config_from_cli(args, n_pes);
 }
 
