@@ -4,7 +4,7 @@
 // instruction sequences — rolled and x4-unrolled — and executes both on the
 // interpreter, reporting instruction and cycle counts.
 //
-//   bench_ablation_unroll [--elems 4,8,16,64,256,1024]
+//   bench_ablation_unroll [--elems 4,8,16,64,256,1024] [--json PATH]
 
 #include <cstdio>
 #include <vector>
@@ -17,7 +17,7 @@
 #include "xbrtime/runtime.hpp"
 #include "xbrtime/validation.hpp"
 
-constexpr std::string_view kFlags[] = {"elems"};
+constexpr std::string_view kFlags[] = {"elems", "json"};
 
 int main(int argc, char** argv) {
   const xbgas::CliArgs args(
@@ -72,5 +72,9 @@ int main(int argc, char** argv) {
               "issue cost drops past the unroll threshold of %zu elems)\n",
               xbgas::NetCostParams{}.unroll_threshold);
   xbgas::emit_observability(machine, args);
+  if (args.has("json")) {
+    xbgas::write_tables_json(args.get("json", ""), "ablation_unroll",
+                             {{"cycles", &table}});
+  }
   return 0;
 }

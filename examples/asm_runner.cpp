@@ -42,7 +42,8 @@ constexpr const char* kDemo = R"(
 constexpr std::string_view kFlags[] = {"dump-x", "pes"};
 
 int main(int argc, char** argv) {
-  const xbgas::CliArgs args(argc, argv, {xbgas::kMachineFlags, kFlags});
+  const xbgas::CliArgs args(argc, argv, {xbgas::kMachineFlags, kFlags},
+                            /*max_positional=*/1);
   const int n_pes = static_cast<int>(args.get_int("pes", 2));
 
   std::string source = kDemo;

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Regenerate BENCH_paper.json: the paper's own results as modeled values.
 # It holds Fig. 3's tree edges, Tables 1-2, Fig. 4 (GUPs) and Fig. 5 (NAS IS
-# class W) at 1/2/4/8 PEs, and the cycle counts of ablations A1, A4, A6 and
-# A7. Each bench writes its tables with --json; this script runs them side
-# by side and joins their files in a fixed order. Every value is modeled, so
+# class W) at 1/2/4/8 PEs, the cycle counts of ablations A1, A4, A6 and A7,
+# and ablation A3's instruction and cycle counts on the ISA interpreter. Each
+# bench writes its tables with --json; this script runs them side by side
+# and joins their files in a fixed order. Every value is modeled, so
 # a regeneration on any host must match the committed file byte for byte
 # (scripts/check.sh stage 17).
 #
@@ -27,6 +28,7 @@ BENCHES=(
   "bench_ablation_barrier"
   "bench_ablation_largemsg"
   "bench_ablation_hierarchical"
+  "bench_ablation_unroll"
 )
 
 pids=()

@@ -48,14 +48,19 @@
 #      unreachable, and the collectives conformance sweep (blocking and
 #      nbi axes)
 #  17. paper-results gate (EXPERIMENTS.md): scripts/bench_paper.sh
-#      regenerates Fig. 3's edges, Tables 1-2, Fig. 4, Fig. 5 class W and the
-#      A1/A4/A6/A7 cycle counts; every value is modeled, so the result must
-#      match the committed BENCH_paper.json byte for byte, and EXPERIMENTS.md's
-#      Fig. 4, Fig. 5 class W and A6 tables must be its verbatim rendering
+#      regenerates Fig. 3's edges, Tables 1-2, Fig. 4, Fig. 5 class W, the
+#      A1/A4/A6/A7 cycle counts and A3's ISA-level instruction and cycle
+#      counts; every value is modeled, so the result must match the
+#      committed BENCH_paper.json byte for byte, and EXPERIMENTS.md's Fig. 4,
+#      Fig. 5 class W, A3 and A6 tables must be its verbatim rendering
 #      (scripts/render_experiments.py)
 #  18. contended rendezvous: the team, shrink, hierarchy, barrier,
 #      scheduler and partition suites repeated 5x, first pinned to one CPU,
 #      then beside one CPU-burning loop per core
+#  19. ISA toolchain smoke: asm_runner's built-in demo on 4 PEs; a program
+#      using all 24 xBGAS instructions, assembled and run with its
+#      registers checked; isa_tour's remote store; and asm_runner rejecting
+#      a stray argument
 #
 # Usage: scripts/check.sh [build-dir]   (default: build; the ASan and TSan
 # stages use <build-dir>-asan and <build-dir>-tsan)
@@ -64,21 +69,21 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 
-echo "== [1/18] tier-1 verify (configure + build + full ctest, -Werror on) =="
+echo "== [1/19] tier-1 verify (configure + build + full ctest, -Werror on) =="
 cmake -B "$BUILD" -S . -DXBGAS_WERROR=ON
 cmake --build "$BUILD" -j
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 
-echo "== [2/18] fast path: unit label only (ctest -L unit) =="
+echo "== [2/19] fast path: unit label only (ctest -L unit) =="
 ctest --test-dir "$BUILD" -L unit --output-on-failure -j "$(nproc)"
 
-echo "== [3/18] observability suite (ctest -R trace) =="
+echo "== [3/19] observability suite (ctest -R trace) =="
 ctest --test-dir "$BUILD" -R trace --output-on-failure
 
-echo "== [4/18] disabled-path overhead guard =="
+echo "== [4/19] disabled-path overhead guard =="
 "$BUILD"/tests/trace/trace_overhead_test
 
-echo "== [5/18] trace + counters smoke (bench_pt2pt) =="
+echo "== [5/19] trace + counters smoke (bench_pt2pt) =="
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 "$BUILD"/bench/bench_pt2pt --trace-out="$TMP/t.json" --counters=json \
@@ -97,7 +102,7 @@ print(f"smoke OK: {len(trace['traceEvents'])} trace events, "
       f"{len(tracks)} PE tracks, {counters['net.messages']} remote RMAs")
 EOF
 
-echo "== [6/18] fault-injection smoke (bench_pt2pt + bench_fig4_gups, docs/RESILIENCE.md) =="
+echo "== [6/19] fault-injection smoke (bench_pt2pt + bench_fig4_gups, docs/RESILIENCE.md) =="
 # Each fault plan runs twice. Determinism is a contract over modeled state
 # only (tests/support/modeled_counters.hpp): the replay must print the same
 # output and the same counters except the host-scheduling sched.* class,
@@ -139,7 +144,7 @@ print(f"fault smoke OK: {rma['fault.injected.rma_drop']} drops absorbed by "
       f"drops by {amo['amo.retries']} retries, deterministic replays")
 EOF
 
-echo "== [7/18] collective-policy smoke (docs/COLLECTIVES.md) =="
+echo "== [7/19] collective-policy smoke (docs/COLLECTIVES.md) =="
 "$BUILD"/bench/bench_policy_crossover --pes 8 --sizes 16,4096 --reps 1 \
     --json "$TMP/cross.json" > /dev/null
 python3 - "$TMP" <<'EOF'
@@ -156,7 +161,7 @@ print("policy smoke OK: auto flips tree->ring across the crossover and "
       "tracks the faster family")
 EOF
 
-echo "== [8/18] hierarchy + tuner gauntlet (docs/COLLECTIVES.md) =="
+echo "== [8/19] hierarchy + tuner gauntlet (docs/COLLECTIVES.md) =="
 # The engine/tuner test wall: k-nomial schedules, the depth x radix x PE
 # conformance axis (each case under XbrSan full internally), the tuner
 # round-trip, the golden modeled cost of every family through the one
@@ -210,7 +215,7 @@ for m in machines:
 print("committed BENCH_osu.json OK")
 EOF
 
-echo "== [9/18] XbrSan smoke (docs/SANITIZER.md) =="
+echo "== [9/19] XbrSan smoke (docs/SANITIZER.md) =="
 # Positive: a real workload under full checking finishes with 0 violations.
 "$BUILD"/bench/bench_pt2pt --xbrsan=full --counters=json > "$TMP/san.txt"
 python3 - "$TMP" <<'EOF'
@@ -232,14 +237,14 @@ EOF
 grep -q 'XbrSan\[out_of_bounds\]' "$TMP/san_neg.txt"
 echo "xbrsan negative smoke OK: planted bug detected"
 
-echo "== [10/18] survivor-recovery chaos smoke (bench_chaos) =="
+echo "== [10/19] survivor-recovery chaos smoke (bench_chaos) =="
 # Scripted: the acceptance kill plan (mid-barrier + mid-RMA on 12 PEs).
 "$BUILD"/bench/bench_chaos --pes 12 --rounds 4 \
     --fault-kill 3:barrier:11,7:rma:4
 # Soak: seeded-random kill plans; every seed must recover and verify.
 "$BUILD"/bench/bench_chaos --pes 10 --seeds 8 --rounds 4
 
-echo "== [11/18] serving chaos smoke (bench_serving, docs/SERVING.md) =="
+echo "== [11/19] serving chaos smoke (bench_serving, docs/SERVING.md) =="
 # Scripted: one mid-RMA kill under default transport faults on 12 PEs.
 "$BUILD"/bench/bench_serving --pes 12 --batches 12 --ops-per-batch 32 \
     --fault-kill 5:rma:40
@@ -250,7 +255,7 @@ echo "== [11/18] serving chaos smoke (bench_serving, docs/SERVING.md) =="
 "$BUILD"/bench/bench_serving --pes 10 --batches 12 --ops-per-batch 32 \
     --seeds 4
 
-echo "== [12/18] partition-tolerance smoke (bench_partition, docs/RESILIENCE.md) =="
+echo "== [12/19] partition-tolerance smoke (bench_partition, docs/RESILIENCE.md) =="
 # The both-sides quorum proof and the fail-fast conformance axis: the 64-PE
 # scripted split (majority shrinks + verifies, minority unwinds typed), the
 # unreachable-peer escalation suite, and every blocking op terminating
@@ -283,7 +288,7 @@ print(f"committed BENCH_partition.json OK: {len(data['runs'])} seeded splits, "
       f"every eviction by quorum, bit-identical replays")
 EOF
 
-echo "== [13/18] nbi + write-combining smoke (bench_gups, docs/COLLECTIVES.md) =="
+echo "== [13/19] nbi + write-combining smoke (bench_gups, docs/COLLECTIVES.md) =="
 # The explicit-handle test wall in the main build: request-RMA semantics,
 # the write combiner, the three new XbrSan epochs (negative + positive),
 # the hedged-nbi failover ledger, and the nbi conformance axis — each
@@ -311,7 +316,7 @@ print(f"nbi smoke OK: coalescing {g['speedup']}x over {g['combiner']['flushes']}
       f"flushes, pipelined allreduce {ar['speedup']}x at {ar['n_pes']} PEs")
 EOF
 
-echo "== [14/18] scaling smoke (docs/SCALING.md) =="
+echo "== [14/19] scaling smoke (docs/SCALING.md) =="
 # 256-PE conformance/recovery/chaos cases ride the integration suite; the
 # 1024-PE smoke is its own slow-labeled binary.
 ctest --test-dir "$BUILD" -R 'Scaling' --output-on-failure
@@ -332,13 +337,13 @@ print(f"scaling smoke OK: barrier {points[16]['barrier_cycles']} -> "
       f"{points[1024]['workers']} worker(s)")
 EOF
 
-echo "== [15/18] ASan+UBSan pass (full test suite) =="
+echo "== [15/19] ASan+UBSan pass (full test suite) =="
 cmake -B "$BUILD-asan" -S . -DXBGAS_SANITIZE=address -DXBGAS_WERROR=ON \
     -DXBGAS_BUILD_BENCH=OFF -DXBGAS_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD-asan" -j
 ctest --test-dir "$BUILD-asan" --output-on-failure -j "$(nproc)"
 
-echo "== [16/18] TSan pass (machine + sched + trace + fault + san + nbi + recovery + serving + conformance + scaling) =="
+echo "== [16/19] TSan pass (machine + sched + trace + fault + san + nbi + recovery + serving + conformance + scaling) =="
 cmake -B "$BUILD-tsan" -S . -DXBGAS_SANITIZE=thread -DXBGAS_WERROR=ON \
     -DXBGAS_BUILD_BENCH=OFF -DXBGAS_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD-tsan" -j
@@ -346,13 +351,13 @@ ctest --test-dir "$BUILD-tsan" \
     -R '(machine|Machine|Barrier|Sched|trace|fault|San|Nonblocking|Nbi|WriteCombiner|Conformance|Hierarch|Knomial|Tuner|DispatchGolden|Team|Agree|Shrink|Checkpoint|Recovery|recovery|Serving|serving|Zipf|Scaling|Partition|Unreachable|LinkFaults)' \
     --output-on-failure -j "$(nproc)"
 
-echo "== [17/18] paper-results gate (BENCH_paper.json, EXPERIMENTS.md) =="
+echo "== [17/19] paper-results gate (BENCH_paper.json, EXPERIMENTS.md) =="
 scripts/bench_paper.sh "$BUILD" "$TMP/paper.json" > /dev/null
 diff -u BENCH_paper.json "$TMP/paper.json"
 python3 scripts/render_experiments.py --check "$TMP/paper.json" EXPERIMENTS.md
 echo "paper gate OK: BENCH_paper.json reproduces byte for byte, EXPERIMENTS.md quotes it"
 
-echo "== [18/18] contended rendezvous (one CPU, then CPU burners) =="
+echo "== [18/19] contended rendezvous (one CPU, then CPU burners) =="
 # Every team, shrink, hierarchy, barrier, scheduler and partition test, five
 # times over, under the host load that once split a team across two
 # registry entries: first with every test pinned to CPU 0, then beside one
@@ -373,5 +378,98 @@ done
 ctest --test-dir "$BUILD" -R "$RENDEZVOUS" \
     --repeat until-fail:5 --output-on-failure -j "$(nproc)"
 stop_burners
+
+echo "== [19/19] ISA toolchain smoke (asm_runner, isa_tour) =="
+# The built-in demo: every PE stores 100 + rank into its right neighbour's
+# scratch word, so PE r's scratch ends as 0x64 + ((r - 1) mod 4).
+"$BUILD"/examples/asm_runner --pes 4 > "$TMP/asm_demo.txt"
+# Every xBGAS instruction, SPMD on 2 PEs: each PE writes and reads back its
+# neighbour's scratch word through the base forms (e6 rides with x6), then
+# the raw forms (explicit e7); eaddix reads the object ID back.
+cat > "$TMP/xbgas_forms.s" <<'ASM'
+    addi t0, a0, 1
+    rem  t0, t0, a1
+    addi t0, t0, 1          # the neighbour's object ID
+    eaddie e6, t0, 0
+    eaddie e7, t0, 0
+    eaddix x20, e7, 0
+    mv   x6, a2
+    li   t2, -2
+    esd  t2, 0(x6)
+    eld  x13, 0(x6)
+    elw  x14, 0(x6)
+    elwu x15, 0(x6)
+    elh  x16, 0(x6)
+    elhu x17, 0(x6)
+    elb  x18, 0(x6)
+    elbu x19, 0(x6)
+    li   t2, 0x81
+    esb  t2, 1(x6)
+    li   t2, 0x9abc
+    esh  t2, 2(x6)
+    li   t2, 0x92345678
+    esw  t2, 4(x6)
+    erld x21, x6, e7
+    addi t3, x6, 1
+    erlb  x22, t3, e7
+    erlbu x23, t3, e7
+    addi t3, x6, 2
+    erlh  x24, t3, e7
+    erlhu x25, t3, e7
+    addi t3, x6, 4
+    erlw  x26, t3, e7
+    erlwu x27, t3, e7
+    li   t4, 0x1122334455667788
+    ersd t4, x6, e7
+    li   t5, 0xc0c1c2c3
+    ersw t5, x6, e7
+    li   t5, 0xa0
+    addi t3, x6, 4
+    ersb t5, t3, e7
+    li   t5, 0xb1b2
+    addi t3, x6, 6
+    ersh t5, t3, e7
+    erld x31, x6, e7
+    ecall
+ASM
+"$BUILD"/examples/asm_runner "$TMP/xbgas_forms.s" --pes 2 \
+    --dump-x 13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,31 \
+    > "$TMP/asm_forms.txt"
+"$BUILD"/examples/isa_tour > "$TMP/isa_tour.txt"
+python3 - "$TMP" <<'EOF'
+import re, sys
+tmp = sys.argv[1]
+
+def scratch_words(path):
+    text = open(path).read()
+    return {int(pe): int(v, 16) for pe, v in
+            re.findall(r"PE (\d+): halt=ecall .* scratch=0x([0-9a-f]+)", text)}
+
+demo = scratch_words(f"{tmp}/asm_demo.txt")
+assert demo == {r: 0x64 + (r - 1) % 4 for r in range(4)}, demo
+expected = {13: 0xfffffffffffffffe, 14: 0xfffffffffffffffe,
+            15: 0xfffffffe, 16: 0xfffffffffffffffe, 17: 0xfffe,
+            18: 0xfffffffffffffffe, 19: 0xfe, 21: 0x923456789abc81fe,
+            22: 0xffffffffffffff81, 23: 0x81, 24: 0xffffffffffff9abc,
+            25: 0x9abc, 26: 0xffffffff92345678, 27: 0x92345678,
+            31: 0xb1b233a0c0c1c2c3}
+out = open(f"{tmp}/asm_forms.txt").read()
+for pe in range(2):
+    regs = {int(r): int(v, 16)
+            for r, v in re.findall(rf"PE {pe}: x(\d+) = 0x([0-9a-f]+)", out)}
+    assert regs == {**expected, 20: (pe + 1) % 2 + 1}, (pe, regs)
+forms = scratch_words(f"{tmp}/asm_forms.txt")
+assert forms == {0: 0xb1b233a0c0c1c2c3, 1: 0xb1b233a0c0c1c2c3}, forms
+assert "PE 1 sees slot = 0xc0ffee" in open(f"{tmp}/isa_tour.txt").read()
+print("isa smoke OK: demo scratch words, all 24 xBGAS instructions, isa_tour")
+EOF
+# (The brace group sends the shell's "Aborted" notice to the log too.)
+if { "$BUILD"/examples/asm_runner "$TMP/xbgas_forms.s" extra; } \
+    > "$TMP/asm_extra.txt" 2>&1; then
+  echo "asm_runner accepted a stray positional argument"
+  exit 1
+fi
+grep -q "unexpected argument 'extra'" "$TMP/asm_extra.txt"
+echo "isa smoke OK: asm_runner rejects a stray argument"
 
 echo "== all checks passed =="

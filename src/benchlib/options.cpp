@@ -1,11 +1,47 @@
 #include "benchlib/options.hpp"
 
+#include <limits>
 #include <string>
 
 #include "collectives/policy.hpp"
 #include "common/error.hpp"
 
 namespace xbgas {
+
+namespace {
+
+/// An int-sized integer field of one --flag list item.
+int int_field(const std::string& flag, const std::string& text) {
+  const std::int64_t v = CliArgs::parse_int(flag, text);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw Error("--" + flag + " expects an int-sized integer, got '" + text +
+                "'");
+  }
+  return static_cast<int>(v);
+}
+
+/// A non-negative count or modeled-cycle field of one --flag list item.
+std::uint64_t count_field(const std::string& flag, const std::string& text) {
+  const std::int64_t v = CliArgs::parse_int(flag, text);
+  if (v < 0) {
+    throw Error("--" + flag + " expects a non-negative integer, got '" +
+                text + "'");
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
+/// The AT[@HEAL] tail of a --fault-link or --fault-partition item.
+void window_fields(const std::string& flag, const std::string& text,
+                   std::uint64_t& at, std::uint64_t& heal_at) {
+  const std::size_t at2 = text.find('@');
+  at = count_field(flag, text.substr(0, at2));
+  if (at2 != std::string::npos) {
+    heal_at = count_field(flag, text.substr(at2 + 1));
+  }
+}
+
+}  // namespace
 
 MachineConfig machine_config_from_cli(const CliArgs& args, int n_pes) {
   MachineConfig config;
@@ -64,12 +100,7 @@ MachineConfig machine_config_from_cli(const CliArgs& args, int n_pes) {
   // One or more scripted kills: RANK:SITE:K[,RANK:SITE:K...]. Full
   // validation (rank range, K >= 1) happens in validate_fault_config when
   // the Machine is constructed.
-  std::string kills = args.get("fault-kill", "");
-  while (!kills.empty()) {
-    const std::size_t comma = kills.find(',');
-    const std::string kill = kills.substr(0, comma);
-    kills = comma == std::string::npos ? "" : kills.substr(comma + 1);
-
+  for (const std::string& kill : args.get_list("fault-kill")) {
     const std::size_t c1 = kill.find(':');
     const std::size_t c2 = c1 == std::string::npos
                                ? std::string::npos
@@ -94,20 +125,15 @@ MachineConfig machine_config_from_cli(const CliArgs& args, int n_pes) {
           "--fault-kill site must be barrier, rma, agree, or amo, got " +
           site);
     }
-    spec.rank = std::stoi(kill.substr(0, c1));
-    spec.at = static_cast<std::uint64_t>(std::stoll(kill.substr(c2 + 1)));
+    spec.rank = int_field("fault-kill", kill.substr(0, c1));
+    spec.at = count_field("fault-kill", kill.substr(c2 + 1));
     config.fault.kills.push_back(spec);
   }
 
   // Scripted link faults: A-B:MODE@AT[@HEAL][,...], MODE in {down,degraded}.
   // AT/HEAL are modeled cycles on the observing PE's clock; full range
   // validation happens in validate_fault_config.
-  std::string links = args.get("fault-link", "");
-  while (!links.empty()) {
-    const std::size_t comma = links.find(',');
-    const std::string one = links.substr(0, comma);
-    links = comma == std::string::npos ? "" : links.substr(comma + 1);
-
+  for (const std::string& one : args.get_list("fault-link")) {
     const std::size_t dash = one.find('-');
     const std::size_t colon =
         dash == std::string::npos ? std::string::npos : one.find(':', dash + 1);
@@ -128,28 +154,15 @@ MachineConfig machine_config_from_cli(const CliArgs& args, int n_pes) {
     } else {
       throw Error("--fault-link mode must be down or degraded, got " + mode);
     }
-    spec.a = std::stoi(one.substr(0, dash));
-    spec.b = std::stoi(one.substr(dash + 1, colon - dash - 1));
-    const std::size_t at2 = one.find('@', at1 + 1);
-    spec.at = static_cast<std::uint64_t>(
-        std::stoll(one.substr(at1 + 1, at2 == std::string::npos
-                                           ? std::string::npos
-                                           : at2 - at1 - 1)));
-    if (at2 != std::string::npos) {
-      spec.heal_at =
-          static_cast<std::uint64_t>(std::stoll(one.substr(at2 + 1)));
-    }
+    spec.a = int_field("fault-link", one.substr(0, dash));
+    spec.b = int_field("fault-link", one.substr(dash + 1, colon - dash - 1));
+    window_fields("fault-link", one.substr(at1 + 1), spec.at, spec.heal_at);
     config.fault.links.push_back(spec);
   }
 
   // Scripted 2-way partitions: LO-HI@AT[@HEAL][,...] — ranks [LO, HI]
   // versus everyone else, every crossing link down.
-  std::string parts = args.get("fault-partition", "");
-  while (!parts.empty()) {
-    const std::size_t comma = parts.find(',');
-    const std::string one = parts.substr(0, comma);
-    parts = comma == std::string::npos ? "" : parts.substr(comma + 1);
-
+  for (const std::string& one : args.get_list("fault-partition")) {
     const std::size_t dash = one.find('-');
     const std::size_t at1 =
         dash == std::string::npos ? std::string::npos : one.find('@', dash + 1);
@@ -159,17 +172,11 @@ MachineConfig machine_config_from_cli(const CliArgs& args, int n_pes) {
           "(e.g. 0-31@2000), got " + one);
     }
     PartitionSpec spec;
-    spec.lo = std::stoi(one.substr(0, dash));
-    spec.hi = std::stoi(one.substr(dash + 1, at1 - dash - 1));
-    const std::size_t at2 = one.find('@', at1 + 1);
-    spec.at = static_cast<std::uint64_t>(
-        std::stoll(one.substr(at1 + 1, at2 == std::string::npos
-                                           ? std::string::npos
-                                           : at2 - at1 - 1)));
-    if (at2 != std::string::npos) {
-      spec.heal_at =
-          static_cast<std::uint64_t>(std::stoll(one.substr(at2 + 1)));
-    }
+    spec.lo = int_field("fault-partition", one.substr(0, dash));
+    spec.hi =
+        int_field("fault-partition", one.substr(dash + 1, at1 - dash - 1));
+    window_fields("fault-partition", one.substr(at1 + 1), spec.at,
+                  spec.heal_at);
     config.fault.partitions.push_back(spec);
   }
 

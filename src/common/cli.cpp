@@ -16,25 +16,32 @@ namespace {
   throw Error("--" + name + " expects " + expected + ", got '" + value + "'");
 }
 
-std::int64_t parse_int(const std::string& name, const std::string& value) {
+}  // namespace
+
+std::int64_t CliArgs::parse_int(const std::string& name,
+                                const std::string& text) {
   char* end = nullptr;
   errno = 0;
-  const long long v = std::strtoll(value.c_str(), &end, 0);
-  if (value.empty() || *end != '\0' || errno == ERANGE) {
-    malformed(name, "an integer", value);
+  const long long v = std::strtoll(text.c_str(), &end, 0);
+  if (text.empty() || *end != '\0' || errno == ERANGE) {
+    malformed(name, "an integer", text);
   }
   return v;
 }
 
-}  // namespace
-
 CliArgs::CliArgs(int argc, const char* const* argv,
-                 std::initializer_list<CliFlags> known) {
+                 std::initializer_list<CliFlags> known,
+                 std::size_t max_positional) {
   XBGAS_CHECK(argc >= 1 && argv != nullptr, "CliArgs requires argv[0]");
   program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
+      if (positional_.size() == max_positional) {
+        throw Error(program_ + ": unexpected argument '" + arg +
+                    "' (positional arguments allowed: " +
+                    std::to_string(max_positional) + ")");
+      }
       positional_.push_back(std::move(arg));
       continue;
     }
@@ -97,23 +104,30 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   malformed(name, "true/false, 1/0 or yes/no", v);
 }
 
+std::vector<std::string> CliArgs::get_list(const std::string& name) const {
+  const auto it = flags_.find(name);
+  if (it == flags_.end()) return {};
+  std::vector<std::string> items;
+  const std::string& s = it->second;
+  for (std::size_t pos = 0;;) {
+    const std::size_t comma = s.find(',', pos);
+    items.push_back(s.substr(pos, comma - pos));
+    if (comma == std::string::npos) return items;
+    pos = comma + 1;
+  }
+}
+
 std::vector<int> CliArgs::get_int_list(const std::string& name,
                                        const std::vector<int>& fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
+  if (!has(name)) return fallback;
   std::vector<int> out;
-  const std::string& s = it->second;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    auto comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const std::int64_t v = parse_int(name, s.substr(pos, comma - pos));
+  for (const std::string& item : get_list(name)) {
+    const std::int64_t v = parse_int(name, item);
     if (v < std::numeric_limits<int>::min() ||
         v > std::numeric_limits<int>::max()) {
-      malformed(name, "a list of int-sized integers", s);
+      malformed(name, "a list of int-sized integers", get(name, ""));
     }
     out.push_back(static_cast<int>(v));
-    pos = comma + 1;
   }
   return out;
 }

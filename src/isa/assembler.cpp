@@ -126,82 +126,10 @@ Operand parse_operand(std::string_view text, int line) {
   return fail("unrecognized operand");
 }
 
-// ---------------------------------------------------------------------------
-// Mnemonic table: operand format per op
-// ---------------------------------------------------------------------------
-
-enum class Fmt {
-  kRType,      // op rd, rs1, rs2
-  kIType,      // op rd, rs1, imm      (ALU immediates and shifts)
-  kLoad,       // op rd, imm(rs1)      (standard + xBGAS e-loads)
-  kStore,      // op rs2, imm(rs1)     (standard + xBGAS e-stores)
-  kRawLoad,    // op rd, rs1, eN
-  kRawStore,   // op rs2, rs1, eN
-  kBranch,     // op rs1, rs2, label|imm
-  kJal,        // op rd, label|imm
-  kJalr,       // op rd, imm(rs1)
-  kUType,      // op rd, imm
-  kEaddie,     // eaddie eN, rs1, imm
-  kEaddix,     // eaddix rd, eN, imm
-  kNullary,    // ecall / ebreak
-};
-
-std::optional<Fmt> fmt_of(Op op) {
-  switch (op) {
-    case Op::kAdd: case Op::kSub: case Op::kSll: case Op::kSlt:
-    case Op::kSltu: case Op::kXor: case Op::kSrl: case Op::kSra:
-    case Op::kOr: case Op::kAnd: case Op::kAddw: case Op::kSubw:
-    case Op::kSllw: case Op::kSrlw: case Op::kSraw: case Op::kMul:
-    case Op::kMulh: case Op::kMulhsu: case Op::kMulhu: case Op::kDiv:
-    case Op::kDivu: case Op::kRem: case Op::kRemu: case Op::kMulw:
-    case Op::kDivw: case Op::kDivuw: case Op::kRemw: case Op::kRemuw:
-      return Fmt::kRType;
-    case Op::kAddi: case Op::kSlti: case Op::kSltiu: case Op::kXori:
-    case Op::kOri: case Op::kAndi: case Op::kSlli: case Op::kSrli:
-    case Op::kSrai: case Op::kAddiw: case Op::kSlliw: case Op::kSrliw:
-    case Op::kSraiw:
-      return Fmt::kIType;
-    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLd:
-    case Op::kLbu: case Op::kLhu: case Op::kLwu:
-    case Op::kElb: case Op::kElh: case Op::kElw: case Op::kEld:
-    case Op::kElbu: case Op::kElhu: case Op::kElwu:
-      return Fmt::kLoad;
-    case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd:
-    case Op::kEsb: case Op::kEsh: case Op::kEsw: case Op::kEsd:
-      return Fmt::kStore;
-    case Op::kErlb: case Op::kErlh: case Op::kErlw: case Op::kErld:
-    case Op::kErlbu: case Op::kErlhu: case Op::kErlwu:
-      return Fmt::kRawLoad;
-    case Op::kErsb: case Op::kErsh: case Op::kErsw: case Op::kErsd:
-      return Fmt::kRawStore;
-    case Op::kBeq: case Op::kBne: case Op::kBlt: case Op::kBge:
-    case Op::kBltu: case Op::kBgeu:
-      return Fmt::kBranch;
-    case Op::kJal:
-      return Fmt::kJal;
-    case Op::kJalr:
-      return Fmt::kJalr;
-    case Op::kLui: case Op::kAuipc:
-      return Fmt::kUType;
-    case Op::kEaddie:
-      return Fmt::kEaddie;
-    case Op::kEaddix:
-      return Fmt::kEaddix;
-    case Op::kEcall: case Op::kEbreak:
-      return Fmt::kNullary;
-    case Op::kCount:
-      return std::nullopt;
-  }
-  return std::nullopt;
-}
-
 const std::map<std::string, Op>& mnemonic_table() {
   static const std::map<std::string, Op> kTable = [] {
     std::map<std::string, Op> m;
-    for (int i = 0; i < static_cast<int>(Op::kCount); ++i) {
-      const Op op = static_cast<Op>(i);
-      if (fmt_of(op)) m[mnemonic(op)] = op;
-    }
+    for (const OpInfo& row : detail::kOpTable) m[row.mnemonic] = row.op;
     return m;
   }();
   return kTable;
@@ -293,20 +221,42 @@ Program assemble(std::string_view source) {
     const std::string mnem(line.substr(0, space));
     const auto ops = split_operands(
         space == std::string_view::npos ? std::string_view{} : line.substr(space));
-    auto operand = [&](std::size_t i) { return parse_operand(ops[i], line_no); };
+    const auto operand = [&](std::size_t i) {
+      return parse_operand(ops[i], line_no);
+    };
+    const auto arity = [&](std::size_t n, const char* operands) {
+      if (ops.size() != n) {
+        throw Error(strfmt("asm line %d: %s takes %s", line_no, mnem.c_str(),
+                           operands));
+      }
+    };
+    const auto x = [&](std::size_t i) {
+      return static_cast<std::uint8_t>(want_x(operand(i), line_no));
+    };
+    const auto e = [&](std::size_t i) {
+      return static_cast<std::uint8_t>(want_e(operand(i), line_no));
+    };
+    const auto imm = [&](std::size_t i) {
+      return want_imm(operand(i), line_no);
+    };
+    const auto mem = [&](std::size_t i) {
+      const Operand m = operand(i);
+      expect(m.kind == OperandKind::kMem, line_no, "expected imm(base)");
+      return m;
+    };
 
     // Pseudo-instructions first.
     if (mnem == "li") {
-      expect(ops.size() == 2, line_no, "li takes rd, imm");
-      b.li(want_x(operand(0), line_no), want_imm(operand(1), line_no));
+      arity(2, "rd, imm");
+      b.li(x(0), imm(1));
     } else if (mnem == "mv") {
-      expect(ops.size() == 2, line_no, "mv takes rd, rs1");
-      b.mv(want_x(operand(0), line_no), want_x(operand(1), line_no));
+      arity(2, "rd, rs1");
+      b.mv(x(0), x(1));
     } else if (mnem == "nop") {
-      expect(ops.empty(), line_no, "nop takes no operands");
+      arity(0, "no operands");
       b.nop();
     } else if (mnem == "j") {
-      expect(ops.size() == 1, line_no, "j takes a target");
+      arity(1, "a target");
       const Operand t = operand(0);
       if (t.kind == OperandKind::kSymbol) {
         b.jal_insn(0, t.symbol);
@@ -314,117 +264,80 @@ Program assemble(std::string_view source) {
         b.insn({Op::kJal, 0, 0, 0, want_imm(t, line_no)});
       }
     } else if (mnem == "ret") {
-      expect(ops.empty(), line_no, "ret takes no operands");
+      arity(0, "no operands");
       b.jalr(0, 1, 0);
     } else {
       const auto it = mnemonic_table().find(mnem);
       expect(it != mnemonic_table().end(), line_no, "unknown mnemonic");
       const Op op = it->second;
-      switch (*fmt_of(op)) {
-        case Fmt::kRType: {
-          expect(ops.size() == 3, line_no, "R-type takes rd, rs1, rs2");
-          b.insn({op, static_cast<std::uint8_t>(want_x(operand(0), line_no)),
-                  static_cast<std::uint8_t>(want_x(operand(1), line_no)),
-                  static_cast<std::uint8_t>(want_x(operand(2), line_no)), 0});
+      switch (info(op).format) {
+        case Format::kR:
+          arity(3, "rd, rs1, rs2");
+          b.insn({op, x(0), x(1), x(2), 0});
+          break;
+        case Format::kI:
+        case Format::kShift64:
+        case Format::kShift32:
+          arity(3, "rd, rs1, imm");
+          b.insn({op, x(0), x(1), 0, imm(2)});
+          break;
+        case Format::kLoad: {
+          arity(2, "rd, imm(rs1)");
+          const Operand m = mem(1);
+          b.insn({op, x(0), static_cast<std::uint8_t>(m.reg), 0, m.imm});
           break;
         }
-        case Fmt::kIType: {
-          expect(ops.size() == 3, line_no, "I-type takes rd, rs1, imm");
-          b.insn({op, static_cast<std::uint8_t>(want_x(operand(0), line_no)),
-                  static_cast<std::uint8_t>(want_x(operand(1), line_no)), 0,
-                  want_imm(operand(2), line_no)});
+        case Format::kStore: {
+          arity(2, "rs2, imm(rs1)");
+          const Operand m = mem(1);
+          b.insn({op, 0, static_cast<std::uint8_t>(m.reg), x(0), m.imm});
           break;
         }
-        case Fmt::kLoad: {
-          expect(ops.size() == 2, line_no, "load takes rd, imm(rs1)");
-          const Operand mem = operand(1);
-          expect(mem.kind == OperandKind::kMem, line_no, "expected imm(base)");
-          b.insn({op, static_cast<std::uint8_t>(want_x(operand(0), line_no)),
-                  static_cast<std::uint8_t>(mem.reg), 0, mem.imm});
+        case Format::kRawLoad:
+          arity(3, "rd, rs1, eN");
+          b.insn({op, x(0), x(1), e(2), 0});
           break;
-        }
-        case Fmt::kStore: {
-          expect(ops.size() == 2, line_no, "store takes rs2, imm(rs1)");
-          const Operand mem = operand(1);
-          expect(mem.kind == OperandKind::kMem, line_no, "expected imm(base)");
-          b.insn({op, 0, static_cast<std::uint8_t>(mem.reg),
-                  static_cast<std::uint8_t>(want_x(operand(0), line_no)),
-                  mem.imm});
+        case Format::kRawStore:
+          // The e-register rides in the rd field (see encoder.cpp).
+          arity(3, "rs2, rs1, eN");
+          b.insn({op, e(2), x(1), x(0), 0});
           break;
-        }
-        case Fmt::kRawLoad: {
-          expect(ops.size() == 3, line_no, "raw load takes rd, rs1, eN");
-          b.insn({op, static_cast<std::uint8_t>(want_x(operand(0), line_no)),
-                  static_cast<std::uint8_t>(want_x(operand(1), line_no)),
-                  static_cast<std::uint8_t>(want_e(operand(2), line_no)), 0});
-          break;
-        }
-        case Fmt::kRawStore: {
-          expect(ops.size() == 3, line_no, "raw store takes rs2, rs1, eN");
-          // e-register index rides in the rd field (see encoder.cpp).
-          b.insn({op, static_cast<std::uint8_t>(want_e(operand(2), line_no)),
-                  static_cast<std::uint8_t>(want_x(operand(1), line_no)),
-                  static_cast<std::uint8_t>(want_x(operand(0), line_no)), 0});
-          break;
-        }
-        case Fmt::kBranch: {
-          expect(ops.size() == 3, line_no, "branch takes rs1, rs2, target");
-          const unsigned rs1 = want_x(operand(0), line_no);
-          const unsigned rs2 = want_x(operand(1), line_no);
+        case Format::kBranch: {
+          arity(3, "rs1, rs2, target");
           const Operand target = operand(2);
           if (target.kind == OperandKind::kSymbol) {
-            b.branch_insn(op, rs1, rs2, target.symbol);
+            b.branch_insn(op, x(0), x(1), target.symbol);
           } else {
-            b.insn({op, 0, static_cast<std::uint8_t>(rs1),
-                    static_cast<std::uint8_t>(rs2),
-                    want_imm(target, line_no)});
+            b.insn({op, 0, x(0), x(1), want_imm(target, line_no)});
           }
           break;
         }
-        case Fmt::kJal: {
-          expect(ops.size() == 2, line_no, "jal takes rd, target");
-          const unsigned rd = want_x(operand(0), line_no);
+        case Format::kJal: {
+          arity(2, "rd, target");
           const Operand target = operand(1);
           if (target.kind == OperandKind::kSymbol) {
-            b.jal_insn(rd, target.symbol);
+            b.jal_insn(x(0), target.symbol);
           } else {
-            b.insn({Op::kJal, static_cast<std::uint8_t>(rd), 0, 0,
-                    want_imm(target, line_no)});
+            b.insn({op, x(0), 0, 0, want_imm(target, line_no)});
           }
           break;
         }
-        case Fmt::kJalr: {
-          expect(ops.size() == 2, line_no, "jalr takes rd, imm(rs1)");
-          const Operand mem = operand(1);
-          expect(mem.kind == OperandKind::kMem, line_no, "expected imm(base)");
-          b.insn({Op::kJalr,
-                  static_cast<std::uint8_t>(want_x(operand(0), line_no)),
-                  static_cast<std::uint8_t>(mem.reg), 0, mem.imm});
+        case Format::kU:
+          arity(2, "rd, imm");
+          b.insn({op, x(0), 0, 0, imm(1)});
           break;
-        }
-        case Fmt::kUType: {
-          expect(ops.size() == 2, line_no, "U-type takes rd, imm");
-          b.insn({op, static_cast<std::uint8_t>(want_x(operand(0), line_no)),
-                  0, 0, want_imm(operand(1), line_no)});
+        case Format::kEaddie:
+          arity(3, "eN, rs1, imm");
+          b.insn({op, e(0), x(1), 0, imm(2)});
           break;
-        }
-        case Fmt::kEaddie: {
-          expect(ops.size() == 3, line_no, "eaddie takes eN, rs1, imm");
-          b.eaddie(want_e(operand(0), line_no), want_x(operand(1), line_no),
-                   want_imm(operand(2), line_no));
+        case Format::kEaddix:
+          arity(3, "rd, eN, imm");
+          b.insn({op, x(0), e(1), 0, imm(2)});
           break;
-        }
-        case Fmt::kEaddix: {
-          expect(ops.size() == 3, line_no, "eaddix takes rd, eN, imm");
-          b.eaddix(want_x(operand(0), line_no), want_e(operand(1), line_no),
-                   want_imm(operand(2), line_no));
-          break;
-        }
-        case Fmt::kNullary: {
-          expect(ops.empty(), line_no, "takes no operands");
+        case Format::kSystem:
+          arity(0, "no operands");
           b.insn({op, 0, 0, 0, 0});
           break;
-        }
       }
     }
     if (newline == source.size()) break;

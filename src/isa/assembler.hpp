@@ -20,7 +20,10 @@
 //
 // Registers accept numeric (x0-x31, e0-e31) and standard ABI names (zero,
 // ra, sp, gp, tp, t0-t6, s0-s11/fp, a0-a7). Immediates accept decimal and
-// 0x-hex, with optional leading '-'.
+// 0x-hex, with optional leading '-'. Every op's mnemonic and operand syntax
+// come from its row in the op table (instruction.hpp), the same format that
+// to_string prints, so disassembly assembles back; the pseudo-instructions
+// li, mv, nop, j and ret expand through ProgramBuilder.
 
 #include <string>
 #include <string_view>

@@ -204,7 +204,8 @@ ProgramBuilder& ProgramBuilder::insn(const Instruction& inst) {
 
 ProgramBuilder& ProgramBuilder::branch_insn(Op op, unsigned rs1, unsigned rs2,
                                             const std::string& lbl) {
-  XBGAS_CHECK(is_branch(op), "branch_insn requires a branch op");
+  XBGAS_CHECK(op < Op::kCount && info(op).format == Format::kBranch,
+              "branch_insn requires a branch op");
   return emit_branch(op, rs1, rs2, lbl);
 }
 

@@ -1,13 +1,76 @@
 #include "isa/decoder.hpp"
 
+#include <array>
+
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/strfmt.hpp"
-#include "isa/encoding.hpp"
 
 namespace xbgas::isa {
 
 namespace {
+
+/// The bits of a word that name its op in `format`: everything but the
+/// operand fields.
+constexpr std::uint32_t op_bits(Format format) {
+  switch (format) {
+    case Format::kR:
+    case Format::kShift32:
+    case Format::kRawLoad:
+    case Format::kRawStore:
+      return 0xFE00707Fu;  // funct7, funct3, opcode
+    case Format::kShift64:
+      return 0xFC00707Fu;  // funct6, funct3, opcode
+    case Format::kJal:
+    case Format::kU:
+      return 0x0000007Fu;  // opcode
+    case Format::kSystem:
+      return 0xFFFFFFFFu;  // the whole word
+    default:
+      return 0x0000707Fu;  // funct3, opcode
+  }
+}
+
+/// One op that can sit in a slot: its match word, the bits of a word that
+/// must equal it, and how to read its operands. The default candidate
+/// matches no word.
+struct Candidate {
+  std::uint32_t op_bits = 0;
+  std::uint32_t match = ~0u;
+  Op op = Op::kCount;
+  Format format = Format::kSystem;
+};
+
+/// opcode[6:2] and funct3: opcode[1:0] is 0b11 in every match word, and
+/// op_bits covers it.
+constexpr std::size_t slot_of(std::uint32_t w) {
+  return ((w >> 2) & 0x1Fu) << 3 | ((w >> 12) & 7u);
+}
+
+/// The candidates of each (opcode, funct3) slot: at most three (OP funct3
+/// 000 holds add, sub and mul).
+using Slot = std::array<Candidate, 3>;
+constexpr auto kSlots = [] {
+  // Filled explicitly: GCC 12's constant evaluation of `slots{}` leaves
+  // most candidates zeroed, and a zero candidate matches every word.
+  std::array<Slot, 256> slots;
+  for (Slot& slot : slots) slot.fill(Candidate{});
+  for (const OpInfo& row : detail::kOpTable) {
+    // jal/lui/auipc carry immediate bits in funct3: every slot of their
+    // opcode holds them.
+    const bool any_funct3 = (op_bits(row.format) & 0x7000u) == 0;
+    for (std::uint32_t funct3 = 0; funct3 < 8; ++funct3) {
+      const std::uint32_t w = (row.match & ~0x7000u) | funct3 << 12;
+      if (!any_funct3 && w != row.match) continue;
+      Slot& slot = slots[slot_of(w)];
+      std::size_t n = 0;
+      while (n < slot.size() && slot[n].op != Op::kCount) ++n;
+      if (n == slot.size()) throw "more than three ops share a slot";
+      slot[n] = {op_bits(row.format), row.match, row.op, row.format};
+    }
+  }
+  return slots;
+}();
 
 std::int64_t imm_i(std::uint32_t w) { return sign_extend(w >> 20, 12); }
 
@@ -32,291 +95,66 @@ std::int64_t imm_j(std::uint32_t w) {
   return sign_extend(v, 21);
 }
 
+/// The candidate `w` encodes, or nullptr for an illegal word. (`inline`
+/// gets it inlined into decode: a call costs as much as the lookup.)
+inline const Candidate* match(std::uint32_t w) {
+  for (const Candidate& c : kSlots[slot_of(w)]) {
+    if ((w & c.op_bits) == c.match) return &c;
+  }
+  return nullptr;
+}
+
+/// The instruction `w` encodes as `c`'s op; operand fields its format
+/// lacks stay 0 (the canonical form encode and decode round-trip through).
+Instruction fields(const Candidate& c, std::uint32_t w) {
+  const Op op = c.op;
+  const auto rd = static_cast<std::uint8_t>(bits(w, 7, 5));
+  const auto rs1 = static_cast<std::uint8_t>(bits(w, 15, 5));
+  const auto rs2 = static_cast<std::uint8_t>(bits(w, 20, 5));
+  switch (c.format) {
+    case Format::kR:
+    case Format::kRawLoad:
+    case Format::kRawStore:
+      return {op, rd, rs1, rs2, 0};
+    case Format::kI:
+    case Format::kLoad:
+    case Format::kEaddie:
+    case Format::kEaddix:
+      return {op, rd, rs1, 0, imm_i(w)};
+    case Format::kShift64:
+      return {op, rd, rs1, 0, bits(w, 20, 6)};
+    case Format::kShift32:
+      return {op, rd, rs1, 0, bits(w, 20, 5)};
+    case Format::kStore:
+      return {op, 0, rs1, rs2, imm_s(w)};
+    case Format::kBranch:
+      return {op, 0, rs1, rs2, imm_b(w)};
+    case Format::kU:
+      return {op, rd, 0, 0, imm_u(w)};
+    case Format::kJal:
+      return {op, rd, 0, 0, imm_j(w)};
+    case Format::kSystem:
+      break;
+  }
+  return {op, 0, 0, 0, 0};
+}
+
 [[noreturn]] void illegal(std::uint32_t w) {
   throw Error(strfmt("illegal instruction word 0x%08x", w));
-}
-
-Op load_op_for_width(std::uint32_t funct3, bool xbgas, std::uint32_t w) {
-  switch (funct3) {
-    case kWidthB: return xbgas ? Op::kElb : Op::kLb;
-    case kWidthH: return xbgas ? Op::kElh : Op::kLh;
-    case kWidthW: return xbgas ? Op::kElw : Op::kLw;
-    case kWidthD: return xbgas ? Op::kEld : Op::kLd;
-    case kWidthBU: return xbgas ? Op::kElbu : Op::kLbu;
-    case kWidthHU: return xbgas ? Op::kElhu : Op::kLhu;
-    case kWidthWU: return xbgas ? Op::kElwu : Op::kLwu;
-    default: illegal(w);
-  }
-}
-
-Op store_op_for_width(std::uint32_t funct3, bool xbgas, std::uint32_t w) {
-  switch (funct3) {
-    case kWidthB: return xbgas ? Op::kEsb : Op::kSb;
-    case kWidthH: return xbgas ? Op::kEsh : Op::kSh;
-    case kWidthW: return xbgas ? Op::kEsw : Op::kSw;
-    case kWidthD: return xbgas ? Op::kEsd : Op::kSd;
-    default: illegal(w);
-  }
-}
-
-Op raw_load_for_width(std::uint32_t funct3, std::uint32_t w) {
-  switch (funct3) {
-    case kWidthB: return Op::kErlb;
-    case kWidthH: return Op::kErlh;
-    case kWidthW: return Op::kErlw;
-    case kWidthD: return Op::kErld;
-    case kWidthBU: return Op::kErlbu;
-    case kWidthHU: return Op::kErlhu;
-    case kWidthWU: return Op::kErlwu;
-    default: illegal(w);
-  }
-}
-
-Op raw_store_for_width(std::uint32_t funct3, std::uint32_t w) {
-  switch (funct3) {
-    case kWidthB: return Op::kErsb;
-    case kWidthH: return Op::kErsh;
-    case kWidthW: return Op::kErsw;
-    case kWidthD: return Op::kErsd;
-    default: illegal(w);
-  }
 }
 
 }  // namespace
 
 Instruction decode(std::uint32_t w) {
-  Instruction inst;
-  inst.rd = static_cast<std::uint8_t>(bits(w, 7, 5));
-  inst.rs1 = static_cast<std::uint8_t>(bits(w, 15, 5));
-  inst.rs2 = static_cast<std::uint8_t>(bits(w, 20, 5));
-  const std::uint32_t opcode = bits(w, 0, 7);
-  const std::uint32_t funct3 = bits(w, 12, 3);
-  const std::uint32_t funct7 = bits(w, 25, 7);
-
-  switch (opcode) {
-    case kOpLui:
-      inst.op = Op::kLui;
-      inst.imm = imm_u(w);
-      inst.rs1 = inst.rs2 = 0;  // canonical form: U-type has no sources
-      return inst;
-    case kOpAuipc:
-      inst.op = Op::kAuipc;
-      inst.imm = imm_u(w);
-      inst.rs1 = inst.rs2 = 0;
-      return inst;
-    case kOpJal:
-      inst.op = Op::kJal;
-      inst.imm = imm_j(w);
-      inst.rs1 = inst.rs2 = 0;
-      return inst;
-    case kOpJalr:
-      if (funct3 != 0) illegal(w);
-      inst.op = Op::kJalr;
-      inst.imm = imm_i(w);
-      inst.rs2 = 0;  // canonical form: I-type has no rs2
-      return inst;
-    case kOpBranch: {
-      inst.imm = imm_b(w);
-      inst.rd = 0;  // canonical form: B-type has no rd
-      switch (funct3) {
-        case 0b000: inst.op = Op::kBeq; return inst;
-        case 0b001: inst.op = Op::kBne; return inst;
-        case 0b100: inst.op = Op::kBlt; return inst;
-        case 0b101: inst.op = Op::kBge; return inst;
-        case 0b110: inst.op = Op::kBltu; return inst;
-        case 0b111: inst.op = Op::kBgeu; return inst;
-        default: illegal(w);
-      }
-    }
-    case kOpLoad:
-      inst.op = load_op_for_width(funct3, /*xbgas=*/false, w);
-      inst.imm = imm_i(w);
-      inst.rs2 = 0;
-      return inst;
-    case kOpXbgasLoad:
-      inst.op = load_op_for_width(funct3, /*xbgas=*/true, w);
-      inst.imm = imm_i(w);
-      inst.rs2 = 0;
-      return inst;
-    case kOpStore:
-      inst.op = store_op_for_width(funct3, /*xbgas=*/false, w);
-      inst.imm = imm_s(w);
-      inst.rd = 0;  // canonical form: S-type has no rd
-      return inst;
-    case kOpXbgasStore:
-      inst.op = store_op_for_width(funct3, /*xbgas=*/true, w);
-      inst.imm = imm_s(w);
-      inst.rd = 0;
-      return inst;
-    case kOpOpImm: {
-      inst.imm = imm_i(w);
-      inst.rs2 = 0;
-      switch (funct3) {
-        case 0b000: inst.op = Op::kAddi; return inst;
-        case 0b010: inst.op = Op::kSlti; return inst;
-        case 0b011: inst.op = Op::kSltiu; return inst;
-        case 0b100: inst.op = Op::kXori; return inst;
-        case 0b110: inst.op = Op::kOri; return inst;
-        case 0b111: inst.op = Op::kAndi; return inst;
-        case 0b001:
-          if ((funct7 >> 1) != 0x00) illegal(w);
-          inst.op = Op::kSlli;
-          inst.imm = bits(w, 20, 6);
-          return inst;
-        case 0b101: {
-          const auto funct6 = funct7 >> 1;
-          if (funct6 == 0x00) inst.op = Op::kSrli;
-          else if (funct6 == 0x10) inst.op = Op::kSrai;
-          else illegal(w);
-          inst.imm = bits(w, 20, 6);
-          return inst;
-        }
-        default: illegal(w);
-      }
-    }
-    case kOpOpImm32: {
-      inst.imm = imm_i(w);
-      inst.rs2 = 0;
-      switch (funct3) {
-        case 0b000: inst.op = Op::kAddiw; return inst;
-        case 0b001:
-          if (funct7 != 0x00) illegal(w);
-          inst.op = Op::kSlliw;
-          inst.imm = bits(w, 20, 5);
-          return inst;
-        case 0b101:
-          if (funct7 == 0x00) inst.op = Op::kSrliw;
-          else if (funct7 == 0x20) inst.op = Op::kSraiw;
-          else illegal(w);
-          inst.imm = bits(w, 20, 5);
-          return inst;
-        default: illegal(w);
-      }
-    }
-    case kOpOp: {
-      if (funct7 == 0x01) {
-        switch (funct3) {
-          case 0b000: inst.op = Op::kMul; return inst;
-          case 0b001: inst.op = Op::kMulh; return inst;
-          case 0b010: inst.op = Op::kMulhsu; return inst;
-          case 0b011: inst.op = Op::kMulhu; return inst;
-          case 0b100: inst.op = Op::kDiv; return inst;
-          case 0b101: inst.op = Op::kDivu; return inst;
-          case 0b110: inst.op = Op::kRem; return inst;
-          case 0b111: inst.op = Op::kRemu; return inst;
-          default: illegal(w);
-        }
-      }
-      switch (funct3) {
-        case 0b000:
-          if (funct7 == 0x00) inst.op = Op::kAdd;
-          else if (funct7 == 0x20) inst.op = Op::kSub;
-          else illegal(w);
-          return inst;
-        case 0b001:
-          if (funct7 != 0x00) illegal(w);
-          inst.op = Op::kSll;
-          return inst;
-        case 0b010:
-          if (funct7 != 0x00) illegal(w);
-          inst.op = Op::kSlt;
-          return inst;
-        case 0b011:
-          if (funct7 != 0x00) illegal(w);
-          inst.op = Op::kSltu;
-          return inst;
-        case 0b100:
-          if (funct7 != 0x00) illegal(w);
-          inst.op = Op::kXor;
-          return inst;
-        case 0b101:
-          if (funct7 == 0x00) inst.op = Op::kSrl;
-          else if (funct7 == 0x20) inst.op = Op::kSra;
-          else illegal(w);
-          return inst;
-        case 0b110:
-          if (funct7 != 0x00) illegal(w);
-          inst.op = Op::kOr;
-          return inst;
-        case 0b111:
-          if (funct7 != 0x00) illegal(w);
-          inst.op = Op::kAnd;
-          return inst;
-        default: illegal(w);
-      }
-    }
-    case kOpOp32: {
-      if (funct7 == 0x01) {
-        switch (funct3) {
-          case 0b000: inst.op = Op::kMulw; return inst;
-          case 0b100: inst.op = Op::kDivw; return inst;
-          case 0b101: inst.op = Op::kDivuw; return inst;
-          case 0b110: inst.op = Op::kRemw; return inst;
-          case 0b111: inst.op = Op::kRemuw; return inst;
-          default: illegal(w);
-        }
-      }
-      switch (funct3) {
-        case 0b000:
-          if (funct7 == 0x00) inst.op = Op::kAddw;
-          else if (funct7 == 0x20) inst.op = Op::kSubw;
-          else illegal(w);
-          return inst;
-        case 0b001:
-          if (funct7 != 0x00) illegal(w);
-          inst.op = Op::kSllw;
-          return inst;
-        case 0b101:
-          if (funct7 == 0x00) inst.op = Op::kSrlw;
-          else if (funct7 == 0x20) inst.op = Op::kSraw;
-          else illegal(w);
-          return inst;
-        default: illegal(w);
-      }
-    }
-    case kOpSystem: {
-      if (w == kOpSystem) {
-        inst.op = Op::kEcall;
-        inst.rd = inst.rs1 = inst.rs2 = 0;
-        return inst;
-      }
-      if (w == (kOpSystem | (1u << 20))) {
-        inst.op = Op::kEbreak;
-        inst.rd = inst.rs1 = inst.rs2 = 0;
-        return inst;
-      }
-      illegal(w);
-    }
-    case kOpXbgasRaw: {
-      if (funct7 == kRawFunct7Load) {
-        inst.op = raw_load_for_width(funct3, w);
-      } else if (funct7 == kRawFunct7Store) {
-        inst.op = raw_store_for_width(funct3, w);
-      } else {
-        illegal(w);
-      }
-      return inst;
-    }
-    case kOpXbgasAddr: {
-      inst.imm = imm_i(w);
-      inst.rs2 = 0;
-      switch (funct3) {
-        case kAddrFunct3Eaddie: inst.op = Op::kEaddie; return inst;
-        case kAddrFunct3Eaddix: inst.op = Op::kEaddix; return inst;
-        default: illegal(w);
-      }
-    }
-    default:
-      illegal(w);
-  }
+  const Candidate* c = match(w);
+  if (c == nullptr) illegal(w);
+  return fields(*c, w);
 }
 
-std::optional<Instruction> try_decode(std::uint32_t word) noexcept {
-  try {
-    return decode(word);
-  } catch (...) {
-    return std::nullopt;
-  }
+std::optional<Instruction> try_decode(std::uint32_t w) noexcept {
+  const Candidate* c = match(w);
+  if (c == nullptr) return std::nullopt;
+  return fields(*c, w);
 }
 
 }  // namespace xbgas::isa

@@ -1,6 +1,9 @@
 #pragma once
 
-// 32-bit word -> Instruction decoder for RV64I/M + xBGAS.
+// 32-bit word -> Instruction decoder for RV64I/M + xBGAS. The word's
+// (opcode, funct3) slot holds at most three candidate ops from the op table
+// (instruction.hpp); the word is the candidate whose match word it equals
+// under that op's format, with the operand fields that format lacks zeroed.
 
 #include <cstdint>
 #include <optional>

@@ -1,9 +1,7 @@
 #include "isa/encoder.hpp"
 
-#include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/strfmt.hpp"
-#include "isa/encoding.hpp"
 
 namespace xbgas::isa {
 
@@ -13,7 +11,10 @@ void check_reg(std::uint8_t r, const char* what) {
   XBGAS_CHECK(r < 32, strfmt("%s register index out of range: %u", what, r));
 }
 
-void check_imm_range(std::int64_t imm, unsigned bits_, const char* what) {
+// `inline` keeps encode's common path free of calls, and so of register
+// spills.
+inline void check_imm_range(std::int64_t imm, unsigned bits_,
+                            const char* what) {
   const std::int64_t lo = -(std::int64_t{1} << (bits_ - 1));
   const std::int64_t hi = (std::int64_t{1} << (bits_ - 1)) - 1;
   XBGAS_CHECK(imm >= lo && imm <= hi,
@@ -23,187 +24,63 @@ void check_imm_range(std::int64_t imm, unsigned bits_, const char* what) {
 
 std::uint32_t u(std::int64_t v) { return static_cast<std::uint32_t>(v); }
 
-std::uint32_t r_type(std::uint32_t opcode, std::uint32_t funct3,
-                     std::uint32_t funct7, std::uint8_t rd, std::uint8_t rs1,
-                     std::uint8_t rs2) {
-  return opcode | (std::uint32_t{rd} << 7) | (funct3 << 12) |
-         (std::uint32_t{rs1} << 15) | (std::uint32_t{rs2} << 20) |
-         (funct7 << 25);
-}
-
-std::uint32_t i_type(std::uint32_t opcode, std::uint32_t funct3,
-                     std::uint8_t rd, std::uint8_t rs1, std::int64_t imm) {
-  check_imm_range(imm, 12, "I-type");
-  return opcode | (std::uint32_t{rd} << 7) | (funct3 << 12) |
-         (std::uint32_t{rs1} << 15) | ((u(imm) & 0xFFFu) << 20);
-}
-
-std::uint32_t s_type(std::uint32_t opcode, std::uint32_t funct3,
-                     std::uint8_t rs1, std::uint8_t rs2, std::int64_t imm) {
-  check_imm_range(imm, 12, "S-type");
-  const std::uint32_t i = u(imm);
-  return opcode | ((i & 0x1Fu) << 7) | (funct3 << 12) |
-         (std::uint32_t{rs1} << 15) | (std::uint32_t{rs2} << 20) |
-         (((i >> 5) & 0x7Fu) << 25);
-}
-
-std::uint32_t b_type(std::uint32_t opcode, std::uint32_t funct3,
-                     std::uint8_t rs1, std::uint8_t rs2, std::int64_t imm) {
-  check_imm_range(imm, 13, "B-type");
-  XBGAS_CHECK((imm & 1) == 0, "branch offset must be even");
-  const std::uint32_t i = u(imm);
-  return opcode | (((i >> 11) & 1u) << 7) | (((i >> 1) & 0xFu) << 8) |
-         (funct3 << 12) | (std::uint32_t{rs1} << 15) |
-         (std::uint32_t{rs2} << 20) | (((i >> 5) & 0x3Fu) << 25) |
-         (((i >> 12) & 1u) << 31);
-}
-
-std::uint32_t u_type(std::uint32_t opcode, std::uint8_t rd, std::int64_t imm) {
-  // imm is the full 32-bit value with low 12 bits zero (as after `lui`).
-  XBGAS_CHECK((imm & 0xFFF) == 0, "U-type immediate must be 4KiB-aligned");
-  check_imm_range(imm >> 12, 20, "U-type");
-  return opcode | (std::uint32_t{rd} << 7) | (u(imm) & 0xFFFFF000u);
-}
-
-std::uint32_t j_type(std::uint32_t opcode, std::uint8_t rd, std::int64_t imm) {
-  check_imm_range(imm, 21, "J-type");
-  XBGAS_CHECK((imm & 1) == 0, "jump offset must be even");
-  const std::uint32_t i = u(imm);
-  return opcode | (std::uint32_t{rd} << 7) | (((i >> 12) & 0xFFu) << 12) |
-         (((i >> 11) & 1u) << 20) | (((i >> 1) & 0x3FFu) << 21) |
-         (((i >> 20) & 1u) << 31);
-}
-
-std::uint32_t shift_i(std::uint32_t funct3, std::uint32_t funct6,
-                      std::uint8_t rd, std::uint8_t rs1, std::int64_t shamt,
-                      bool word_form) {
-  const std::int64_t max_shamt = word_form ? 31 : 63;
-  XBGAS_CHECK(shamt >= 0 && shamt <= max_shamt, "shift amount out of range");
-  const std::uint32_t opcode = word_form ? kOpOpImm32 : kOpOpImm;
-  return opcode | (std::uint32_t{rd} << 7) | (funct3 << 12) |
-         (std::uint32_t{rs1} << 15) | ((u(shamt) & 0x3Fu) << 20) |
-         (funct6 << 26);
-}
-
 }  // namespace
 
 std::uint32_t encode(const Instruction& inst) {
   check_reg(inst.rd, "rd");
   check_reg(inst.rs1, "rs1");
   check_reg(inst.rs2, "rs2");
-  const auto rd = inst.rd;
-  const auto rs1 = inst.rs1;
-  const auto rs2 = inst.rs2;
-  const auto imm = inst.imm;
+  XBGAS_CHECK(inst.op < Op::kCount, "encode: unsupported op");
+  const OpInfo& row = info(inst.op);
+  const std::uint32_t rd = std::uint32_t{inst.rd} << 7;
+  const std::uint32_t rs1 = std::uint32_t{inst.rs1} << 15;
+  const std::uint32_t rs2 = std::uint32_t{inst.rs2} << 20;
+  const std::int64_t imm = inst.imm;
+  const std::uint32_t i = u(imm);
 
-  switch (inst.op) {
-    case Op::kLui: return u_type(kOpLui, rd, imm);
-    case Op::kAuipc: return u_type(kOpAuipc, rd, imm);
-    case Op::kJal: return j_type(kOpJal, rd, imm);
-    case Op::kJalr: return i_type(kOpJalr, 0b000, rd, rs1, imm);
-
-    case Op::kBeq: return b_type(kOpBranch, 0b000, rs1, rs2, imm);
-    case Op::kBne: return b_type(kOpBranch, 0b001, rs1, rs2, imm);
-    case Op::kBlt: return b_type(kOpBranch, 0b100, rs1, rs2, imm);
-    case Op::kBge: return b_type(kOpBranch, 0b101, rs1, rs2, imm);
-    case Op::kBltu: return b_type(kOpBranch, 0b110, rs1, rs2, imm);
-    case Op::kBgeu: return b_type(kOpBranch, 0b111, rs1, rs2, imm);
-
-    case Op::kLb: return i_type(kOpLoad, kWidthB, rd, rs1, imm);
-    case Op::kLh: return i_type(kOpLoad, kWidthH, rd, rs1, imm);
-    case Op::kLw: return i_type(kOpLoad, kWidthW, rd, rs1, imm);
-    case Op::kLd: return i_type(kOpLoad, kWidthD, rd, rs1, imm);
-    case Op::kLbu: return i_type(kOpLoad, kWidthBU, rd, rs1, imm);
-    case Op::kLhu: return i_type(kOpLoad, kWidthHU, rd, rs1, imm);
-    case Op::kLwu: return i_type(kOpLoad, kWidthWU, rd, rs1, imm);
-
-    case Op::kSb: return s_type(kOpStore, kWidthB, rs1, rs2, imm);
-    case Op::kSh: return s_type(kOpStore, kWidthH, rs1, rs2, imm);
-    case Op::kSw: return s_type(kOpStore, kWidthW, rs1, rs2, imm);
-    case Op::kSd: return s_type(kOpStore, kWidthD, rs1, rs2, imm);
-
-    case Op::kAddi: return i_type(kOpOpImm, 0b000, rd, rs1, imm);
-    case Op::kSlti: return i_type(kOpOpImm, 0b010, rd, rs1, imm);
-    case Op::kSltiu: return i_type(kOpOpImm, 0b011, rd, rs1, imm);
-    case Op::kXori: return i_type(kOpOpImm, 0b100, rd, rs1, imm);
-    case Op::kOri: return i_type(kOpOpImm, 0b110, rd, rs1, imm);
-    case Op::kAndi: return i_type(kOpOpImm, 0b111, rd, rs1, imm);
-    case Op::kSlli: return shift_i(0b001, 0x00, rd, rs1, imm, false);
-    case Op::kSrli: return shift_i(0b101, 0x00, rd, rs1, imm, false);
-    case Op::kSrai: return shift_i(0b101, 0x10, rd, rs1, imm, false);
-
-    case Op::kAdd: return r_type(kOpOp, 0b000, 0x00, rd, rs1, rs2);
-    case Op::kSub: return r_type(kOpOp, 0b000, 0x20, rd, rs1, rs2);
-    case Op::kSll: return r_type(kOpOp, 0b001, 0x00, rd, rs1, rs2);
-    case Op::kSlt: return r_type(kOpOp, 0b010, 0x00, rd, rs1, rs2);
-    case Op::kSltu: return r_type(kOpOp, 0b011, 0x00, rd, rs1, rs2);
-    case Op::kXor: return r_type(kOpOp, 0b100, 0x00, rd, rs1, rs2);
-    case Op::kSrl: return r_type(kOpOp, 0b101, 0x00, rd, rs1, rs2);
-    case Op::kSra: return r_type(kOpOp, 0b101, 0x20, rd, rs1, rs2);
-    case Op::kOr: return r_type(kOpOp, 0b110, 0x00, rd, rs1, rs2);
-    case Op::kAnd: return r_type(kOpOp, 0b111, 0x00, rd, rs1, rs2);
-
-    case Op::kAddiw: return i_type(kOpOpImm32, 0b000, rd, rs1, imm);
-    case Op::kSlliw: return shift_i(0b001, 0x00, rd, rs1, imm, true);
-    case Op::kSrliw: return shift_i(0b101, 0x00, rd, rs1, imm, true);
-    case Op::kSraiw: return shift_i(0b101, 0x10, rd, rs1, imm, true);
-
-    case Op::kAddw: return r_type(kOpOp32, 0b000, 0x00, rd, rs1, rs2);
-    case Op::kSubw: return r_type(kOpOp32, 0b000, 0x20, rd, rs1, rs2);
-    case Op::kSllw: return r_type(kOpOp32, 0b001, 0x00, rd, rs1, rs2);
-    case Op::kSrlw: return r_type(kOpOp32, 0b101, 0x00, rd, rs1, rs2);
-    case Op::kSraw: return r_type(kOpOp32, 0b101, 0x20, rd, rs1, rs2);
-
-    case Op::kMul: return r_type(kOpOp, 0b000, 0x01, rd, rs1, rs2);
-    case Op::kMulh: return r_type(kOpOp, 0b001, 0x01, rd, rs1, rs2);
-    case Op::kMulhsu: return r_type(kOpOp, 0b010, 0x01, rd, rs1, rs2);
-    case Op::kMulhu: return r_type(kOpOp, 0b011, 0x01, rd, rs1, rs2);
-    case Op::kDiv: return r_type(kOpOp, 0b100, 0x01, rd, rs1, rs2);
-    case Op::kDivu: return r_type(kOpOp, 0b101, 0x01, rd, rs1, rs2);
-    case Op::kRem: return r_type(kOpOp, 0b110, 0x01, rd, rs1, rs2);
-    case Op::kRemu: return r_type(kOpOp, 0b111, 0x01, rd, rs1, rs2);
-    case Op::kMulw: return r_type(kOpOp32, 0b000, 0x01, rd, rs1, rs2);
-    case Op::kDivw: return r_type(kOpOp32, 0b100, 0x01, rd, rs1, rs2);
-    case Op::kDivuw: return r_type(kOpOp32, 0b101, 0x01, rd, rs1, rs2);
-    case Op::kRemw: return r_type(kOpOp32, 0b110, 0x01, rd, rs1, rs2);
-    case Op::kRemuw: return r_type(kOpOp32, 0b111, 0x01, rd, rs1, rs2);
-
-    case Op::kEcall: return kOpSystem;
-    case Op::kEbreak: return kOpSystem | (1u << 20);
-
-    case Op::kElb: return i_type(kOpXbgasLoad, kWidthB, rd, rs1, imm);
-    case Op::kElh: return i_type(kOpXbgasLoad, kWidthH, rd, rs1, imm);
-    case Op::kElw: return i_type(kOpXbgasLoad, kWidthW, rd, rs1, imm);
-    case Op::kEld: return i_type(kOpXbgasLoad, kWidthD, rd, rs1, imm);
-    case Op::kElbu: return i_type(kOpXbgasLoad, kWidthBU, rd, rs1, imm);
-    case Op::kElhu: return i_type(kOpXbgasLoad, kWidthHU, rd, rs1, imm);
-    case Op::kElwu: return i_type(kOpXbgasLoad, kWidthWU, rd, rs1, imm);
-
-    case Op::kEsb: return s_type(kOpXbgasStore, kWidthB, rs1, rs2, imm);
-    case Op::kEsh: return s_type(kOpXbgasStore, kWidthH, rs1, rs2, imm);
-    case Op::kEsw: return s_type(kOpXbgasStore, kWidthW, rs1, rs2, imm);
-    case Op::kEsd: return s_type(kOpXbgasStore, kWidthD, rs1, rs2, imm);
-
-    // Raw ops: R-type; the e-register operand rides in the rs2 field for
-    // loads and in the rd field for stores (paper: "erld rd, rs1, ext2").
-    case Op::kErlb: return r_type(kOpXbgasRaw, kWidthB, kRawFunct7Load, rd, rs1, rs2);
-    case Op::kErlh: return r_type(kOpXbgasRaw, kWidthH, kRawFunct7Load, rd, rs1, rs2);
-    case Op::kErlw: return r_type(kOpXbgasRaw, kWidthW, kRawFunct7Load, rd, rs1, rs2);
-    case Op::kErld: return r_type(kOpXbgasRaw, kWidthD, kRawFunct7Load, rd, rs1, rs2);
-    case Op::kErlbu: return r_type(kOpXbgasRaw, kWidthBU, kRawFunct7Load, rd, rs1, rs2);
-    case Op::kErlhu: return r_type(kOpXbgasRaw, kWidthHU, kRawFunct7Load, rd, rs1, rs2);
-    case Op::kErlwu: return r_type(kOpXbgasRaw, kWidthWU, kRawFunct7Load, rd, rs1, rs2);
-    case Op::kErsb: return r_type(kOpXbgasRaw, kWidthB, kRawFunct7Store, rd, rs1, rs2);
-    case Op::kErsh: return r_type(kOpXbgasRaw, kWidthH, kRawFunct7Store, rd, rs1, rs2);
-    case Op::kErsw: return r_type(kOpXbgasRaw, kWidthW, kRawFunct7Store, rd, rs1, rs2);
-    case Op::kErsd: return r_type(kOpXbgasRaw, kWidthD, kRawFunct7Store, rd, rs1, rs2);
-
-    case Op::kEaddie: return i_type(kOpXbgasAddr, kAddrFunct3Eaddie, rd, rs1, imm);
-    case Op::kEaddix: return i_type(kOpXbgasAddr, kAddrFunct3Eaddix, rd, rs1, imm);
-
-    case Op::kCount: break;
+  switch (row.format) {
+    case Format::kR:
+    case Format::kRawLoad:
+    case Format::kRawStore:
+      // Raw ops: the e-register operand rides in the rs2 field for loads
+      // and in the rd field for stores (paper: "erld rd, rs1, ext2").
+      return row.match | rd | rs1 | rs2;
+    case Format::kI:
+    case Format::kLoad:
+    case Format::kEaddie:
+    case Format::kEaddix:
+      check_imm_range(imm, 12, "I-type");
+      return row.match | rd | rs1 | ((i & 0xFFFu) << 20);
+    case Format::kShift64:
+    case Format::kShift32: {
+      const std::int64_t max_shamt = row.format == Format::kShift64 ? 63 : 31;
+      XBGAS_CHECK(imm >= 0 && imm <= max_shamt, "shift amount out of range");
+      return row.match | rd | rs1 | (i << 20);
+    }
+    case Format::kStore:
+      check_imm_range(imm, 12, "S-type");
+      return row.match | ((i & 0x1Fu) << 7) | rs1 | rs2 |
+             (((i >> 5) & 0x7Fu) << 25);
+    case Format::kBranch:
+      check_imm_range(imm, 13, "B-type");
+      XBGAS_CHECK((imm & 1) == 0, "branch offset must be even");
+      return row.match | (((i >> 11) & 1u) << 7) | (((i >> 1) & 0xFu) << 8) |
+             rs1 | rs2 | (((i >> 5) & 0x3Fu) << 25) | (((i >> 12) & 1u) << 31);
+    case Format::kU:
+      // imm is the full 32-bit value with low 12 bits zero (as after `lui`).
+      XBGAS_CHECK((imm & 0xFFF) == 0, "U-type immediate must be 4KiB-aligned");
+      check_imm_range(imm >> 12, 20, "U-type");
+      return row.match | rd | (i & 0xFFFFF000u);
+    case Format::kJal:
+      check_imm_range(imm, 21, "J-type");
+      XBGAS_CHECK((imm & 1) == 0, "jump offset must be even");
+      return row.match | rd | (((i >> 12) & 0xFFu) << 12) |
+             (((i >> 11) & 1u) << 20) | (((i >> 1) & 0x3FFu) << 21) |
+             (((i >> 20) & 1u) << 31);
+    case Format::kSystem:
+      break;
   }
-  throw Error("encode: unsupported op");
+  return row.match;
 }
 
 }  // namespace xbgas::isa

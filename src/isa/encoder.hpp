@@ -1,7 +1,8 @@
 #pragma once
 
-// Instruction -> 32-bit word encoder. encode/decode round-trip exactly
-// (property-tested in tests/isa/codec_test.cpp).
+// Instruction -> 32-bit word encoder: the op's match word (instruction.hpp)
+// with the operand fields its format carries ORed in. encode/decode
+// round-trip exactly (tests/isa/codec_test.cpp, tests/isa/isa_golden_test.cpp).
 
 #include <cstdint>
 

@@ -13,6 +13,9 @@
 //   custom-1 (0x2B)  base e-stores  (S-type; e-register implied by rs1)
 //   custom-2 (0x5B)  raw er-loads/stores (R-type; explicit e-register)
 //   custom-3 (0x7B)  address management (eaddie / eaddix)
+//
+// The op table (instruction.hpp) composes each op's match word from these
+// fields; nothing else names them per op.
 
 #include <cstdint>
 

@@ -1,6 +1,7 @@
 #include "isa/hart.hpp"
 
 #include <limits>
+#include <utility>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -19,6 +20,25 @@ std::uint64_t u64(std::int64_t v) { return static_cast<std::uint64_t>(v); }
 
 std::uint64_t sext32(std::uint64_t v) {
   return u64(static_cast<std::int64_t>(static_cast<std::int32_t>(v)));
+}
+
+/// The (object ID, address) a load or store names.
+std::pair<std::uint64_t, std::uint64_t> address(const RegFile& regs,
+                                                const Instruction& inst,
+                                                const OpInfo& row) {
+  switch (row.format) {
+    case Format::kRawLoad:
+      // Raw forms: an explicit e-register (rs2 for loads, rd for stores)
+      // and no immediate.
+      return {regs.e(inst.rs2), regs.x(inst.rs1)};
+    case Format::kRawStore:
+      return {regs.e(inst.rd), regs.x(inst.rs1)};
+    default:
+      // Base forms: the e-register *naturally corresponding* to rs1
+      // supplies the object ID (paper §3.2); standard ops stay local.
+      return {row.xbgas ? regs.e(inst.rs1) : kLocalObjectId,
+              regs.x(inst.rs1) + u64(inst.imm)};
+  }
 }
 
 }  // namespace
@@ -59,82 +79,22 @@ Hart::Halt Hart::step() {
   return execute(inst);
 }
 
-void Hart::do_load(const Instruction& inst) {
-  ++stats_.loads;
-  const unsigned width = access_width(inst.op);
-  std::uint64_t object_id = kLocalObjectId;
-  std::uint64_t addr = 0;
-
-  switch (inst.op) {
-    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLd:
-    case Op::kLbu: case Op::kLhu: case Op::kLwu:
-      addr = regs_.x(inst.rs1) + u64(inst.imm);
-      break;
-    case Op::kElb: case Op::kElh: case Op::kElw: case Op::kEld:
-    case Op::kElbu: case Op::kElhu: case Op::kElwu:
-      // Base-integer form: the e-register *naturally corresponding* to rs1
-      // supplies the object ID (paper §3.2).
-      XBGAS_CHECK(config_.xbgas_enabled, "xBGAS extension disabled");
-      object_id = regs_.e(inst.rs1);
-      addr = regs_.x(inst.rs1) + u64(inst.imm);
-      break;
-    case Op::kErlb: case Op::kErlh: case Op::kErlw: case Op::kErld:
-    case Op::kErlbu: case Op::kErlhu: case Op::kErlwu:
-      // Raw form: explicit e-register in the rs2 field, no immediate.
-      XBGAS_CHECK(config_.xbgas_enabled, "xBGAS extension disabled");
-      object_id = regs_.e(inst.rs2);
-      addr = regs_.x(inst.rs1);
-      break;
-    default:
-      throw Error("do_load: not a load");
+void Hart::access_memory(const Instruction& inst, const OpInfo& row) {
+  const auto [object_id, addr] = address(regs_, inst, row);
+  if (row.format == Format::kLoad || row.format == Format::kRawLoad) {
+    ++stats_.loads;
+    if (object_id != kLocalObjectId) ++stats_.remote_loads;
+    std::uint64_t raw = 0;
+    cycles_ += port_.load(object_id, addr, row.width, &raw).cycles;
+    regs_.set_x(inst.rd, row.zero_extend
+                             ? raw
+                             : u64(sign_extend(raw, row.width * 8u)));
+  } else {
+    ++stats_.stores;
+    if (object_id != kLocalObjectId) ++stats_.remote_stores;
+    cycles_ +=
+        port_.store(object_id, addr, row.width, regs_.x(inst.rs2)).cycles;
   }
-
-  if (object_id != kLocalObjectId) ++stats_.remote_loads;
-
-  std::uint64_t raw = 0;
-  const MemAccessResult res = port_.load(object_id, addr, width, &raw);
-  cycles_ += res.cycles;
-
-  std::uint64_t value = raw;
-  if (!is_unsigned_load(inst.op)) {
-    value = u64(sign_extend(raw, width * 8));
-  }
-  regs_.set_x(inst.rd, value);
-}
-
-void Hart::do_store(const Instruction& inst) {
-  ++stats_.stores;
-  const unsigned width = access_width(inst.op);
-  std::uint64_t object_id = kLocalObjectId;
-  std::uint64_t addr = 0;
-  std::uint64_t value = 0;
-
-  switch (inst.op) {
-    case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd:
-      addr = regs_.x(inst.rs1) + u64(inst.imm);
-      value = regs_.x(inst.rs2);
-      break;
-    case Op::kEsb: case Op::kEsh: case Op::kEsw: case Op::kEsd:
-      XBGAS_CHECK(config_.xbgas_enabled, "xBGAS extension disabled");
-      object_id = regs_.e(inst.rs1);
-      addr = regs_.x(inst.rs1) + u64(inst.imm);
-      value = regs_.x(inst.rs2);
-      break;
-    case Op::kErsb: case Op::kErsh: case Op::kErsw: case Op::kErsd:
-      // Raw store: e-register operand rides in the rd field.
-      XBGAS_CHECK(config_.xbgas_enabled, "xBGAS extension disabled");
-      object_id = regs_.e(inst.rd);
-      addr = regs_.x(inst.rs1);
-      value = regs_.x(inst.rs2);
-      break;
-    default:
-      throw Error("do_store: not a store");
-  }
-
-  if (object_id != kLocalObjectId) ++stats_.remote_stores;
-
-  const MemAccessResult res = port_.store(object_id, addr, width, value);
-  cycles_ += res.cycles;
 }
 
 Hart::Halt Hart::execute(const Instruction& inst) {
@@ -181,21 +141,6 @@ Hart::Halt Hart::execute(const Instruction& inst) {
       }
       break;
     }
-
-    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLd:
-    case Op::kLbu: case Op::kLhu: case Op::kLwu:
-    case Op::kElb: case Op::kElh: case Op::kElw: case Op::kEld:
-    case Op::kElbu: case Op::kElhu: case Op::kElwu:
-    case Op::kErlb: case Op::kErlh: case Op::kErlw: case Op::kErld:
-    case Op::kErlbu: case Op::kErlhu: case Op::kErlwu:
-      do_load(inst);
-      break;
-
-    case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd:
-    case Op::kEsb: case Op::kEsh: case Op::kEsw: case Op::kEsd:
-    case Op::kErsb: case Op::kErsh: case Op::kErsw: case Op::kErsd:
-      do_store(inst);
-      break;
 
     case Op::kAddi: regs_.set_x(rd, rs1v + u64(imm)); break;
     case Op::kSlti: regs_.set_x(rd, s64(rs1v) < imm ? 1 : 0); break;
@@ -352,17 +297,23 @@ Hart::Halt Hart::execute(const Instruction& inst) {
       pc_ += 4;
       return Halt::kEbreak;
 
-    case Op::kEaddie:
-      XBGAS_CHECK(config_.xbgas_enabled, "xBGAS extension disabled");
-      regs_.set_e(rd, rs1v + u64(imm));
-      break;
-    case Op::kEaddix:
-      XBGAS_CHECK(config_.xbgas_enabled, "xBGAS extension disabled");
-      regs_.set_x(rd, regs_.e(inst.rs1) + u64(imm));
-      break;
-
     case Op::kCount:
       throw Error("execute: invalid op");
+
+    default: {
+      // Loads, stores, eaddie and eaddix: the op's row says how.
+      const OpInfo& row = info(inst.op);
+      XBGAS_CHECK(config_.xbgas_enabled || !row.xbgas,
+                  "xBGAS extension disabled");
+      if (row.format == Format::kEaddie) {
+        regs_.set_e(rd, rs1v + u64(imm));
+      } else if (row.format == Format::kEaddix) {
+        regs_.set_x(rd, regs_.e(inst.rs1) + u64(imm));
+      } else {
+        access_memory(inst, row);
+      }
+      break;
+    }
   }
 
   pc_ = next_pc;

@@ -67,8 +67,7 @@ class Hart {
 
  private:
   Halt execute(const Instruction& inst);
-  void do_load(const Instruction& inst);
-  void do_store(const Instruction& inst);
+  void access_memory(const Instruction& inst, const OpInfo& row);
 
   GlobalMemoryPort& port_;
   HartConfig config_;

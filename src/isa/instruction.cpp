@@ -5,233 +5,42 @@
 
 namespace xbgas::isa {
 
-const char* mnemonic(Op op) {
-  switch (op) {
-    case Op::kLui: return "lui";
-    case Op::kAuipc: return "auipc";
-    case Op::kJal: return "jal";
-    case Op::kJalr: return "jalr";
-    case Op::kBeq: return "beq";
-    case Op::kBne: return "bne";
-    case Op::kBlt: return "blt";
-    case Op::kBge: return "bge";
-    case Op::kBltu: return "bltu";
-    case Op::kBgeu: return "bgeu";
-    case Op::kLb: return "lb";
-    case Op::kLh: return "lh";
-    case Op::kLw: return "lw";
-    case Op::kLd: return "ld";
-    case Op::kLbu: return "lbu";
-    case Op::kLhu: return "lhu";
-    case Op::kLwu: return "lwu";
-    case Op::kSb: return "sb";
-    case Op::kSh: return "sh";
-    case Op::kSw: return "sw";
-    case Op::kSd: return "sd";
-    case Op::kAddi: return "addi";
-    case Op::kSlti: return "slti";
-    case Op::kSltiu: return "sltiu";
-    case Op::kXori: return "xori";
-    case Op::kOri: return "ori";
-    case Op::kAndi: return "andi";
-    case Op::kSlli: return "slli";
-    case Op::kSrli: return "srli";
-    case Op::kSrai: return "srai";
-    case Op::kAdd: return "add";
-    case Op::kSub: return "sub";
-    case Op::kSll: return "sll";
-    case Op::kSlt: return "slt";
-    case Op::kSltu: return "sltu";
-    case Op::kXor: return "xor";
-    case Op::kSrl: return "srl";
-    case Op::kSra: return "sra";
-    case Op::kOr: return "or";
-    case Op::kAnd: return "and";
-    case Op::kAddiw: return "addiw";
-    case Op::kSlliw: return "slliw";
-    case Op::kSrliw: return "srliw";
-    case Op::kSraiw: return "sraiw";
-    case Op::kAddw: return "addw";
-    case Op::kSubw: return "subw";
-    case Op::kSllw: return "sllw";
-    case Op::kSrlw: return "srlw";
-    case Op::kSraw: return "sraw";
-    case Op::kMul: return "mul";
-    case Op::kMulh: return "mulh";
-    case Op::kMulhsu: return "mulhsu";
-    case Op::kMulhu: return "mulhu";
-    case Op::kDiv: return "div";
-    case Op::kDivu: return "divu";
-    case Op::kRem: return "rem";
-    case Op::kRemu: return "remu";
-    case Op::kMulw: return "mulw";
-    case Op::kDivw: return "divw";
-    case Op::kDivuw: return "divuw";
-    case Op::kRemw: return "remw";
-    case Op::kRemuw: return "remuw";
-    case Op::kEcall: return "ecall";
-    case Op::kEbreak: return "ebreak";
-    case Op::kElb: return "elb";
-    case Op::kElh: return "elh";
-    case Op::kElw: return "elw";
-    case Op::kEld: return "eld";
-    case Op::kElbu: return "elbu";
-    case Op::kElhu: return "elhu";
-    case Op::kElwu: return "elwu";
-    case Op::kEsb: return "esb";
-    case Op::kEsh: return "esh";
-    case Op::kEsw: return "esw";
-    case Op::kEsd: return "esd";
-    case Op::kErlb: return "erlb";
-    case Op::kErlh: return "erlh";
-    case Op::kErlw: return "erlw";
-    case Op::kErld: return "erld";
-    case Op::kErlbu: return "erlbu";
-    case Op::kErlhu: return "erlhu";
-    case Op::kErlwu: return "erlwu";
-    case Op::kErsb: return "ersb";
-    case Op::kErsh: return "ersh";
-    case Op::kErsw: return "ersw";
-    case Op::kErsd: return "ersd";
-    case Op::kEaddie: return "eaddie";
-    case Op::kEaddix: return "eaddix";
-    case Op::kCount: break;
-  }
-  return "?";
-}
-
-bool is_load(Op op) {
-  switch (op) {
-    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLd:
-    case Op::kLbu: case Op::kLhu: case Op::kLwu:
-    case Op::kElb: case Op::kElh: case Op::kElw: case Op::kEld:
-    case Op::kElbu: case Op::kElhu: case Op::kElwu:
-    case Op::kErlb: case Op::kErlh: case Op::kErlw: case Op::kErld:
-    case Op::kErlbu: case Op::kErlhu: case Op::kErlwu:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_store(Op op) {
-  switch (op) {
-    case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd:
-    case Op::kEsb: case Op::kEsh: case Op::kEsw: case Op::kEsd:
-    case Op::kErsb: case Op::kErsh: case Op::kErsw: case Op::kErsd:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_remote(Op op) {
-  switch (op) {
-    case Op::kElb: case Op::kElh: case Op::kElw: case Op::kEld:
-    case Op::kElbu: case Op::kElhu: case Op::kElwu:
-    case Op::kEsb: case Op::kEsh: case Op::kEsw: case Op::kEsd:
-    case Op::kErlb: case Op::kErlh: case Op::kErlw: case Op::kErld:
-    case Op::kErlbu: case Op::kErlhu: case Op::kErlwu:
-    case Op::kErsb: case Op::kErsh: case Op::kErsw: case Op::kErsd:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_branch(Op op) {
-  switch (op) {
-    case Op::kBeq: case Op::kBne: case Op::kBlt:
-    case Op::kBge: case Op::kBltu: case Op::kBgeu:
-      return true;
-    default:
-      return false;
-  }
-}
-
-unsigned access_width(Op op) {
-  switch (op) {
-    case Op::kLb: case Op::kLbu: case Op::kSb:
-    case Op::kElb: case Op::kElbu: case Op::kEsb:
-    case Op::kErlb: case Op::kErlbu: case Op::kErsb:
-      return 1;
-    case Op::kLh: case Op::kLhu: case Op::kSh:
-    case Op::kElh: case Op::kElhu: case Op::kEsh:
-    case Op::kErlh: case Op::kErlhu: case Op::kErsh:
-      return 2;
-    case Op::kLw: case Op::kLwu: case Op::kSw:
-    case Op::kElw: case Op::kElwu: case Op::kEsw:
-    case Op::kErlw: case Op::kErlwu: case Op::kErsw:
-      return 4;
-    case Op::kLd: case Op::kSd:
-    case Op::kEld: case Op::kEsd:
-    case Op::kErld: case Op::kErsd:
-      return 8;
-    default:
-      throw Error(std::string("access_width: not a memory op: ") + mnemonic(op));
-  }
-}
-
-bool is_unsigned_load(Op op) {
-  switch (op) {
-    case Op::kLbu: case Op::kLhu: case Op::kLwu:
-    case Op::kElbu: case Op::kElhu: case Op::kElwu:
-    case Op::kErlbu: case Op::kErlhu: case Op::kErlwu:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::string to_string(const Instruction& inst) {
-  const char* m = mnemonic(inst.op);
+  XBGAS_CHECK(inst.op < Op::kCount, "to_string: invalid op");
+  const OpInfo& row = info(inst.op);
+  const char* m = row.mnemonic;
   const auto rd = static_cast<int>(inst.rd);
   const auto rs1 = static_cast<int>(inst.rs1);
   const auto rs2 = static_cast<int>(inst.rs2);
   const auto imm = static_cast<long long>(inst.imm);
-  switch (inst.op) {
-    case Op::kLui:
-    case Op::kAuipc:
-      return strfmt("%s x%d, %lld", m, rd, imm);
-    case Op::kJal:
-      return strfmt("%s x%d, %lld", m, rd, imm);
-    case Op::kJalr:
+  switch (row.format) {
+    case Format::kR:
+      return strfmt("%s x%d, x%d, x%d", m, rd, rs1, rs2);
+    case Format::kI:
+    case Format::kShift64:
+    case Format::kShift32:
+      return strfmt("%s x%d, x%d, %lld", m, rd, rs1, imm);
+    case Format::kLoad:
       return strfmt("%s x%d, %lld(x%d)", m, rd, imm, rs1);
-    case Op::kBeq: case Op::kBne: case Op::kBlt:
-    case Op::kBge: case Op::kBltu: case Op::kBgeu:
-      return strfmt("%s x%d, x%d, %lld", m, rs1, rs2, imm);
-    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLd:
-    case Op::kLbu: case Op::kLhu: case Op::kLwu:
-      return strfmt("%s x%d, %lld(x%d)", m, rd, imm, rs1);
-    case Op::kElb: case Op::kElh: case Op::kElw: case Op::kEld:
-    case Op::kElbu: case Op::kElhu: case Op::kElwu:
-      return strfmt("%s x%d, %lld(x%d)", m, rd, imm, rs1);
-    case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd:
-    case Op::kEsb: case Op::kEsh: case Op::kEsw: case Op::kEsd:
+    case Format::kStore:
       return strfmt("%s x%d, %lld(x%d)", m, rs2, imm, rs1);
-    case Op::kErlb: case Op::kErlh: case Op::kErlw: case Op::kErld:
-    case Op::kErlbu: case Op::kErlhu: case Op::kErlwu:
+    case Format::kRawLoad:
       return strfmt("%s x%d, x%d, e%d", m, rd, rs1, rs2);
-    case Op::kErsb: case Op::kErsh: case Op::kErsw: case Op::kErsd:
+    case Format::kRawStore:
       return strfmt("%s x%d, x%d, e%d", m, rs2, rs1, rd);
-    case Op::kEaddie:
+    case Format::kBranch:
+      return strfmt("%s x%d, x%d, %lld", m, rs1, rs2, imm);
+    case Format::kJal:
+    case Format::kU:
+      return strfmt("%s x%d, %lld", m, rd, imm);
+    case Format::kEaddie:
       return strfmt("%s e%d, x%d, %lld", m, rd, rs1, imm);
-    case Op::kEaddix:
+    case Format::kEaddix:
       return strfmt("%s x%d, e%d, %lld", m, rd, rs1, imm);
-    case Op::kEcall:
-    case Op::kEbreak:
-      return m;
-    default:
+    case Format::kSystem:
       break;
   }
-  if (inst.imm != 0 || inst.op == Op::kAddi || inst.op == Op::kSlti ||
-      inst.op == Op::kSltiu || inst.op == Op::kXori || inst.op == Op::kOri ||
-      inst.op == Op::kAndi || inst.op == Op::kSlli || inst.op == Op::kSrli ||
-      inst.op == Op::kSrai || inst.op == Op::kAddiw || inst.op == Op::kSlliw ||
-      inst.op == Op::kSrliw || inst.op == Op::kSraiw) {
-    return strfmt("%s x%d, x%d, %lld", m, rd, rs1, imm);
-  }
-  return strfmt("%s x%d, x%d, x%d", m, rd, rs1, rs2);
+  return m;
 }
 
 }  // namespace xbgas::isa

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace xbgas {
@@ -104,6 +106,45 @@ TEST(OptionsTest, FaultPartitionParsesGroupAndHeal) {
   EXPECT_EQ(config.fault.partitions[1].heal_at, 400u);
   EXPECT_THROW(machine_config_from_cli(make({"--fault-partition", "7@9"}), 16),
                Error);
+}
+
+/// The what() of the xbgas::Error that parsing `flag value` throws, or ""
+/// if it throws none.
+std::string fault_list_error(const char* flag, const char* value) {
+  try {
+    (void)machine_config_from_cli(make({flag, value}), 4);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(OptionsTest, FaultKillFieldsParseStrictly) {
+  for (const char* bad : {"a:barrier:3", "1:barrier:", "1:barrier:3x",
+                          "1:barrier:99999999999999999999", "1:barrier:-2",
+                          "1:barrier:3,", "4294967297:barrier:3"}) {
+    EXPECT_NE(fault_list_error("--fault-kill", bad).find("--fault-kill"),
+              std::string::npos)
+        << "value: " << bad;
+  }
+}
+
+TEST(OptionsTest, FaultLinkFieldsParseStrictly) {
+  for (const char* bad : {"0-1:down@5zz", "x-1:down@5", "0-1:down@5@",
+                          "0-1:degraded@5@9q"}) {
+    EXPECT_NE(fault_list_error("--fault-link", bad).find("--fault-link"),
+              std::string::npos)
+        << "value: " << bad;
+  }
+}
+
+TEST(OptionsTest, FaultPartitionFieldsParseStrictly) {
+  for (const char* bad : {"0-x@5", "0-3@", "0-3@5@1e3"}) {
+    EXPECT_NE(
+        fault_list_error("--fault-partition", bad).find("--fault-partition"),
+        std::string::npos)
+        << "value: " << bad;
+  }
 }
 
 TEST(OptionsTest, DegradedLinkCostKnobs) {

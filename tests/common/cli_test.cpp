@@ -70,9 +70,27 @@ TEST(CliTest, IntListFallback) {
 }
 
 TEST(CliTest, PositionalArguments) {
-  const CliArgs args = make({"input.txt", "--n", "3", "out.txt"});
+  const std::vector<const char*> v{"prog", "input.txt", "--n", "3",
+                                   "out.txt"};
+  const CliArgs args(static_cast<int>(v.size()), v.data(), {kKnown}, 2);
   EXPECT_EQ(args.positional(),
             (std::vector<std::string>{"input.txt", "out.txt"}));
+  EXPECT_EQ(args.get_int("n", 0), 3);
+}
+
+TEST(CliTest, StrayPositionalArgumentIsRejectedByName) {
+  // A binary takes no positional argument unless it says how many.
+  EXPECT_NE(error_of([] { make({"99"}); }).find("'99'"), std::string::npos);
+  // A flag's value is not positional; the argument after it is.
+  EXPECT_NE(error_of([] { make({"--pes", "5", "7"}); }).find("'7'"),
+            std::string::npos);
+  // One allowed: the second is named.
+  const std::vector<const char*> v{"prog", "a.s", "extra"};
+  const std::string what = error_of([&] {
+    CliArgs(static_cast<int>(v.size()), v.data(), {kKnown}, 1);
+  });
+  EXPECT_NE(what.find("unexpected argument 'extra'"), std::string::npos)
+      << what;
 }
 
 TEST(CliTest, HexIntegers) {

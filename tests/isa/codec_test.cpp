@@ -170,7 +170,7 @@ TEST(CodecTest, ImmediateRangeChecksThrow) {
 TEST(CodecTest, MnemonicsAreUniqueAndLowercase) {
   std::vector<std::string> names;
   for (int i = 0; i < static_cast<int>(Op::kCount); ++i) {
-    names.emplace_back(mnemonic(static_cast<Op>(i)));
+    names.emplace_back(info(static_cast<Op>(i)).mnemonic);
   }
   for (const auto& n : names) {
     EXPECT_NE(n, "?");
